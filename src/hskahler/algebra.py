@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import Config, DEFAULT_CONFIG
+from .config import Config, _cfg
 from .errors import DimensionError, RankError, StructureError
 
 
@@ -52,11 +52,8 @@ class CheckResult(NamedTuple):
     residual: float
 
 
-def _cfg(cfg: Config | None) -> Config:
-    return DEFAULT_CONFIG if cfg is None else cfg
-
-
-def _max_abs(a: np.ndarray) -> float:
+def _max_abs(a) -> float:
+    a = np.asarray(a)
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
 
 
@@ -145,32 +142,9 @@ def integrability_residual(alg: RealLieAlgebra, J) -> float:
     return _max_abs(br - br_JJ + J_br_J1 + J_br_J2)
 
 
-class CompatibleMetric:
-    """A symmetric positive definite inner product on the real algebra."""
-
-    def __init__(self, G, *, cfg: Config | None = None):
-        cfg = _cfg(cfg)
-        G = np.asarray(G, dtype=float)
-        if G.ndim != 2 or G.shape[0] != G.shape[1]:
-            raise DimensionError(f"G must be square, got shape {G.shape}")
-        sym_res = _max_abs(G - G.T)
-        if sym_res > cfg.tol_alg:
-            raise StructureError(f"G is not symmetric, residual {sym_res:.3e}")
-        G = (G + G.T) / 2.0
-        eigmin = float(np.min(np.linalg.eigvalsh(G)))
-        if eigmin <= 0.0:
-            raise RankError(f"G is not positive definite, min eigenvalue {eigmin:.3e}")
-        self.G = G
-        self.dim = G.shape[0]
-        self.min_eig = eigmin
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"CompatibleMetric(dim={self.dim})"
-
-
 def compatibility_residual(G, J) -> float:
     """Sup norm of J^T G J - G; zero iff the metric is J-invariant."""
-    G = G.G if isinstance(G, CompatibleMetric) else np.asarray(G, dtype=float)
+    G = np.asarray(G, dtype=float)
     J = J.J if isinstance(J, ComplexStructure) else np.asarray(J, dtype=float)
     return _max_abs(J.T @ G @ J - G)
 
@@ -444,8 +418,12 @@ def change_frame(sc: StructureConstants, A, *, cfg: Config | None = None, valida
     if sv[-1] <= cfg.tol_rank * sv[0]:
         raise RankError("change-of-frame matrix is numerically singular")
     Ainv = np.linalg.inv(A)
-    Ct = np.einsum("xb,ay,cz,xyz->bac", A, Ainv, Ainv, sc.C)
-    Dt = np.einsum("ya,bx,cz,xyz->bac", np.conj(A), np.conj(Ainv), Ainv, sc.D)
+    n = sc.n
+    # Ct[b, a, c] = A[x, b] Ainv[a, y] Ainv[c, z] C[x, y, z] and
+    # Dt[b, a, c] = conj(Ainv[b, x]) conj(A[y, a]) Ainv[c, z] D[x, y, z],
+    # one index at a time: as one einsum this costs O(n^6)
+    Ct = Ainv @ ((A.T @ sc.C.reshape(n, n * n)).reshape(n, n, n) @ Ainv.T)
+    Dt = A.conj().T @ ((Ainv.conj() @ sc.D.reshape(n, n * n)).reshape(n, n, n) @ Ainv.T)
     return StructureConstants(Ct, Dt, validate=validate, cfg=cfg)
 
 
@@ -482,7 +460,9 @@ def realify(C, D, g=None, *, cfg: Config | None = None, validate: bool = True):
     T[:n, n:] = 1j * s * np.eye(n)
     T[n:, n:] = -1j * s * np.eye(n)
     Tinv = np.linalg.inv(T)
-    f = np.einsum("cx,xyz,ya,zb->cab", Tinv, F, T, T)
+    # f^c_{ab} = Tinv[c, x] F[x, y, z] T[y, a] T[z, b], one index at a time
+    N = 2 * n
+    f = T.T @ ((Tinv @ F.reshape(N, N * N)).reshape(N, N, N) @ T)
     imag_res = _max_abs(f.imag)
     if imag_res > 1e-10 * max(1.0, _max_abs(f)):
         raise StructureError(f"realified bracket is not real: imaginary residue {imag_res:.3e}")

@@ -9,10 +9,10 @@ exit semantics downstream: "consistency" records assert that the input
 is what it claims to be (Jacobi, J^2 = -Identity, metric positivity,
 frame reconstruction, forced restriction shapes); "classification"
 records describe the geometry (metric classes, unimodularity,
-restriction2, feasibility, block identities) and never invalidate an
-input; and "construction" records report on explicitly requested
-builds, so their failures mean the requested operation did not go
-through.
+restriction2, feasibility, block identities, independence of the
+eigenvalue tuples) and never invalidate an input; and "construction"
+records report on explicitly requested builds, so their failures mean
+the requested operation did not go through.
 
 The block identities C1..C7 and D1..D8 sit in the classification
 bucket under ``analyze`` on purpose: they are consequences of the
@@ -20,8 +20,17 @@ compact-quotient hypotheses, not of the Jacobi identity alone, so a
 perfectly valid input may fail them.  ``verify-claims`` asks for them
 explicitly and gets them as construction records instead.
 
-Residuals are scale-normalized as documented in the producing module,
-so the configured tolerances apply uniformly across instance sizes.
+Residuals are not all normalized the same way.  The consistency
+residuals other than J^2 + Identity, and the unimodularity,
+restriction, block and claim residuals, are divided by max(1, s), with
+s the natural scale of their equation (the largest structure constant
+or metric entry, squared for quadratic identities), and
+``hs_feasible`` reports the least-squares residual over max(1, ||b||).
+The metric-class residuals ``kahler``, ``pluriclosed`` and ``balanced``
+are raw sup norms of form coefficients compared with the absolute
+``tol_alg``, so rescaling the bracket can flip them; the
+``kahlerize_closed`` residual is raw as well, against a threshold that
+is scaled.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from typing import Any
 import numpy as np
 
 from .algebra import (
+    _max_abs,
     canonical_frame,
     compatibility_residual,
     complexify_and_extract,
@@ -41,7 +51,7 @@ from .algebra import (
     solvable_profile,
     unimodularity_check,
 )
-from .config import Config, DEFAULT_CONFIG, TOOL_VERSION
+from .config import Config, TOOL_VERSION, _cfg
 from .documents import AlgebraDocument
 from .errors import (
     CertificationError,
@@ -70,15 +80,6 @@ from .solvable import (
 )
 
 _KAHLERIZE_REF = "it must admit a (left-invariant) Kähler metric"
-
-
-def _cfg(cfg: Config | None) -> Config:
-    return DEFAULT_CONFIG if cfg is None else cfg
-
-
-def _max_abs(a) -> float:
-    a = np.asarray(a)
-    return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
 
 
 def jsonable(x: Any) -> Any:
@@ -521,11 +522,14 @@ def _certify(rep: AnalysisReport, ctx: dict, cfg: Config, category: str) -> bool
         return False
     ctx["certificate"] = cert
     _claims_records(rep, cert.claims, category)
+    # a property of the model family, not a hypothesis of the construction:
+    # rho(x) = i(pi/2) Id on C^2 with the lattice Z[i]^2 is a compact Kahler
+    # quotient whose eigenvalue tuples are dependent
     rep.add(
         "t_independence", "must be linearly independent",
         cert.claims.t_independent, cert.claims.t_ratio,
         details="smallest relative singular value of the eigenvalue tuples",
-        category=category,
+        category="classification",
     )
     d_res = cert.residuals["d_omega_tilde"]
     closed_ok = d_res <= cfg.tol_cert * max(1.0, cert.sc_rotated.magnitude())

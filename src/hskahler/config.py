@@ -27,24 +27,18 @@ class Config:
     tol_diag: float = 1e-8
     # coefficient pruning threshold on canonicalized forms
     prune: float = 1e-14
-    # seed for every randomized routine (joint diagonalization, searches)
+    # seed for the randomized HS metric search (joint diagonalization is
+    # deterministic and takes no seed)
     seed: int = 0
-
-    def replace(self, **kw) -> "Config":
-        return dataclasses.replace(self, **kw)
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Config":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-        return cls(**data)
 
 
 DEFAULT_CONFIG = Config()
 
 TOOL_VERSION = "0.1.0"
+
+
+def _cfg(cfg: Config | None) -> Config:
+    return DEFAULT_CONFIG if cfg is None else cfg

@@ -37,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import CheckResult, StructureConstants, change_frame, realify
-from .config import Config, DEFAULT_CONFIG
+from .algebra import CheckResult, StructureConstants, _max_abs, change_frame, realify
+from .config import Config, _cfg
 from .errors import (
     CertificationError,
     ClaimViolation,
@@ -49,15 +49,6 @@ from .errors import (
 from .forms import InvariantForm, hermitian_coefficients
 from .metrics import hs_decide
 from .solvable import AdmissibleDecomposition, extract_blocks
-
-
-def _cfg(cfg: Config | None) -> Config:
-    return DEFAULT_CONFIG if cfg is None else cfg
-
-
-def _max_abs(a) -> float:
-    a = np.asarray(a)
-    return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
 
 
 # ------------------------------------------------------ joint diagonalization

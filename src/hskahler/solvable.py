@@ -35,21 +35,13 @@ from .algebra import (
     Frame,
     RealLieAlgebra,
     StructureConstants,
+    _max_abs,
     derived_subalgebra,
     solvable_profile,
 )
-from .config import Config, DEFAULT_CONFIG
+from .config import Config, _cfg
 from .errors import DimensionError, PreconditionError, StructureError
 from .metrics import FrameMetric, frame_metric_from_real
-
-
-def _cfg(cfg: Config | None) -> Config:
-    return DEFAULT_CONFIG if cfg is None else cfg
-
-
-def _max_abs(a) -> float:
-    a = np.asarray(a)
-    return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
 
 
 # ----------------------------------------------------------- subspace layer

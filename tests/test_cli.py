@@ -155,6 +155,31 @@ def test_kahlerize_torus_is_already_kahler(capsys):
     assert rep["verdict"].startswith("Kähler")
 
 
+def test_kahlerize_agrees_with_analyze_on_dependent_tuples(capsys, tmp_path):
+    """Model-family constants at r = 2, n = 3: the two eigenvalue tuples
+    lie in C^1, so they are dependent (the generator refuses such data).
+    t-independence is a classification there, not a gate, and both
+    commands construct the metric."""
+    from hskahler import AlgebraDocument
+
+    lam = np.array([[1 + 0.5j, -0.3 + 1.2j]])
+    p = np.array([0.4 - 0.2j, 0.7 + 0.1j])
+    C = np.zeros((3, 3, 3), dtype=complex)
+    D = np.zeros((3, 3, 3), dtype=complex)
+    for i in range(2):
+        C[i, i, 2], C[i, 2, i] = -lam[0, i], lam[0, i]
+        D[i, i, 2] = lam[0, i]
+        D[2, i, 2] = np.conj(p[i]) * lam[0, i] * np.conj(lam[0, i])
+    doc = tmp_path / "dependent.json"
+    AlgebraDocument.from_complex("dependent", C, D).save(doc)
+    for command in ("analyze", "kahlerize"):
+        code, rep = _run_json(capsys, command, str(doc))
+        assert code == 0, command
+        assert rep["verdict"].endswith("; Kähler metric constructed")
+        t_rec = _record(rep, "t_independence")
+        assert t_rec["status"] == "fail" and t_rec["category"] == "classification"
+
+
 # ------------------------------------------------------------ verify-claims
 
 
