@@ -11,14 +11,16 @@ frame reconstruction, forced restriction shapes); "classification"
 records describe the geometry (metric classes, unimodularity,
 restriction2, feasibility, block identities, independence of the
 eigenvalue tuples) and never invalidate an input; and "construction"
-records report on explicitly requested builds, so their failures mean
+records report on what a command was asked for, so their failures mean
 the requested operation did not go through.
 
-The block identities C1..C7 and D1..D8 sit in the classification
-bucket under ``analyze`` on purpose: they are consequences of the
+Which records a command asks for is the only per-command policy here,
+kept in ``DECIDING``: under a command, a classification record whose id
+starts with one of its prefixes is filed as a construction record.
+The block identities C1..C7 and D1..D8 stay classification records
+under ``analyze`` on purpose: they are consequences of the
 compact-quotient hypotheses, not of the Jacobi identity alone, so a
-perfectly valid input may fail them.  ``verify-claims`` asks for them
-explicitly and gets them as construction records instead.
+perfectly valid input may fail them.  ``verify-claims`` asks for them.
 
 Residuals are not all normalized the same way.  The consistency
 residuals other than J^2 + Identity, and the unimodularity,
@@ -53,14 +55,9 @@ from .algebra import (
 )
 from .config import Config, TOOL_VERSION, _cfg
 from .documents import AlgebraDocument
-from .errors import (
-    CertificationError,
-    ClaimViolation,
-    PreconditionError,
-    StructureError,
-)
+from .errors import CertificationError, ClaimViolation, PreconditionError, StructureError
 from .forms import dd_residual
-from .kahler import claims_pipeline, kahlerize
+from .kahler import ClaimsRecord, claims_pipeline, kahlerize
 from .metrics import (
     balanced_check,
     frame_metric_from_real,
@@ -80,6 +77,14 @@ from .solvable import (
 )
 
 _KAHLERIZE_REF = "it must admit a (left-invariant) Kähler metric"
+
+# The records that decide each command's exit code besides the
+# consistency records, as check_id prefixes; ``analyze`` asks for none.
+DECIDING = {
+    "hs": ("hs_feasible", "hs_search"),
+    "kahlerize": ("restriction2", "kahlerize", "claim_"),
+    "verify-claims": ("block_", "claim"),
+}
 
 
 def jsonable(x: Any) -> Any:
@@ -144,6 +149,8 @@ class AnalysisReport:
         category: str = "consistency",
     ) -> Record:
         status = "not-applicable" if passed is None else ("pass" if passed else "fail")
+        if category == "classification" and check_id.startswith(DECIDING.get(self.command, ())):
+            category = "construction"
         rec = Record(check_id, paper_ref, status, residual, details, category)
         self.records.append(rec)
         return rec
@@ -246,16 +253,11 @@ def _matrix_lines(M) -> list[str]:
 # ------------------------------------------------------------- the pipeline
 
 
-def _pipeline(
-    doc: AlgebraDocument,
-    cfg: Config,
-    command: str,
-    *,
-    depth: str = "full",
-    block_category: str = "classification",
-) -> tuple[AnalysisReport, dict]:
+def _checked_input(doc: AlgebraDocument, cfg: Config, command: str) -> tuple[AnalysisReport, dict]:
+    """A new report holding the input checks, Jacobi through the
+    structure equation, and the context the later stages read."""
     rep = AnalysisReport(name=doc.name, mode=doc.mode, command=command, config=cfg.as_dict())
-    ctx: dict[str, Any] = {}
+    ctx: dict[str, Any] = {"blocked": ("input fails consistency checks", None)}
 
     if doc.mode == "real":
         alg, J, G = doc.build_real(cfg=cfg, validate=False)
@@ -284,7 +286,7 @@ def _pipeline(
         g = frame_metric_from_real(G, frame, cfg=cfg).g
         recon = reconstruction_residual(alg, frame, sc) / m
         rep.add("reconstruction", "plumbing", recon <= cfg.tol_alg, recon)
-        frame_is_native = False
+        ctx["native_frame"] = False
     else:
         sc, g, S_doc = doc.build_complex(cfg=cfg, validate=False)
         gs = max(1.0, _max_abs(g))
@@ -309,8 +311,7 @@ def _pipeline(
                 sres / sscale <= cfg.tol_feas, sres / sscale,
                 details="the document's S against the closed-completion system",
             )
-            ctx["S_doc"] = S_doc
-        frame_is_native = True
+        ctx["native_frame"] = True
 
     # two independent routes to the same identity: index sums and d on the
     # coframe; neither is derived from the other in code
@@ -328,9 +329,38 @@ def _pipeline(
     ctx.update(alg=alg, J=J, G=G, frame=frame, sc=sc, g=g)
     if rep.failed():
         rep.verdict = "structure constants do not define a Lie algebra"
+    return rep, ctx
+
+
+def _hs_feasible(rep: AnalysisReport, sc, g, cfg: Config):
+    """Decide the closed completion at the documented metric: the
+    ``hs_feasible`` record and the report's ``hs`` section."""
+    sol = hs_decide(sc, g, cfg=cfg)
+    rep.add(
+        "hs_feasible", "there exists a skew-symmetric matrix",
+        sol.feasible, sol.normalized,
+        details=f"lstsq residual {sol.residual:.3e}, rhs norm {sol.b_norm:.3e}",
+        category="classification",
+    )
+    rep.hs = {
+        "feasible": sol.feasible,
+        "normalized_residual": sol.normalized,
+        "lstsq_residual": sol.residual,
+        "rhs_norm": sol.b_norm,
+        "S": sol.S,
+    }
+    return sol
+
+
+def _pipeline(doc: AlgebraDocument, cfg: Config, command: str) -> tuple[AnalysisReport, dict]:
+    """The input checks, the classification, and on 2-step solvable
+    input the admissible frame with its restrictions and block
+    identities.  ``ctx["blocked"]`` is None when the Kähler construction
+    can run, else why not, as (details, residual)."""
+    rep, ctx = _checked_input(doc, cfg, command)
+    if not rep.consistent():
         return rep, ctx
-    if depth == "hs":
-        return rep, ctx
+    alg, J, G, frame, sc, g = (ctx[k] for k in ("alg", "J", "G", "frame", "sc", "g"))
 
     uni = unimodularity_check(sc, cfg=cfg)
     rep.add("unimodularity", "is unimodular", uni.passed, uni.residual, category="classification")
@@ -348,7 +378,6 @@ def _pipeline(
         "two_step": profile.is_2step_solvable,
         "admissible": None,
     }
-    ctx["profile"] = profile
 
     kah = kahler_check(sc, g, cfg=cfg)
     plu = pluriclosed_check(sc, g, cfg=cfg)
@@ -358,34 +387,20 @@ def _pipeline(
     rep.add(
         "balanced", "d(omega^(n-1)) = 0", bal.passed, bal.residual, category="classification"
     )
-
-    sol = hs_decide(sc, g, cfg=cfg)
-    rep.add(
-        "hs_feasible", "there exists a skew-symmetric matrix",
-        sol.feasible, sol.normalized,
-        details=f"lstsq residual {sol.residual:.3e}, rhs norm {sol.b_norm:.3e}",
-        category="classification",
-    )
+    sol = _hs_feasible(rep, sc, g, cfg)
     rep.classes = {
         "kahler": kah.passed,
         "pluriclosed": plu.passed,
         "balanced": bal.passed,
         "hermitian_symplectic": sol.feasible,
     }
-    rep.hs = {
-        "feasible": sol.feasible,
-        "normalized_residual": sol.normalized,
-        "lstsq_residual": sol.residual,
-        "rhs_norm": sol.b_norm,
-        "S": sol.S,
-    }
-    ctx["hs"] = sol
 
     restriction2_failed = False
     if profile.is_2step_solvable:
+        ctx["blocked"] = ("admissible frame unavailable", None)
         dec = None
         try:
-            if frame_is_native:
+            if ctx["native_frame"]:
                 # the document's own frame might already be admissible; keeping
                 # it preserves hand-chosen block bases (and the generator's
                 # eigenvector phases), so try it before rebuilding
@@ -416,57 +431,47 @@ def _pipeline(
             for key, chk in verify_bianchi_blocks(extract_blocks(dec, sc_adm), cfg=cfg).items():
                 rep.add(
                     f"block_{key}", "for any r+1 <= x, y, z <= n",
-                    chk.passed, chk.residual, category=block_category,
+                    chk.passed, chk.residual, category="classification",
                 )
             sol_adm = hs_decide(sc_adm, dec.metric, cfg=cfg)
-            ctx.update(dec=dec, sc_adm=sc_adm, hs_adm=sol_adm)
+            ctx.update(dec=dec, sc_adm=sc_adm, hs_adm=sol_adm, blocked=None)
             if sol_adm.feasible:
                 bd = extract_blocks(dec, sc_adm, sol_adm.S)
                 for key, chk in verify_hs_blocks(bd, cfg=cfg).items():
                     rep.add(
                         f"block_{key}", "so that the following hold",
-                        chk.passed, chk.residual, category=block_category,
+                        chk.passed, chk.residual, category="classification",
                     )
             else:
+                ctx["blocked"] = ("no closed completion at this metric", sol_adm.normalized)
                 rep.add(
                     "block_D", "so that the following hold", None, None,
-                    details="no closed completion at this metric", category=block_category,
+                    details="no closed completion at this metric", category="classification",
                 )
+            if restriction2_failed:
+                why = "restriction2 fails: no compact HS quotient, the construction does not apply"
+                ctx["blocked"] = (why, r2.residual)
     else:
+        ctx["blocked"] = ("not 2-step solvable", None)
         rep.add(
             "admissible_frame", "said to be admissible", None, None,
             details="not 2-step solvable", category="classification",
         )
 
-    constructed = False
-    if (
-        command == "analyze"
-        and ctx.get("dec") is not None
-        and ctx["hs_adm"].feasible
-        and not restriction2_failed
-        and not rep.classes["kahler"]
-    ):
-        constructed = _certify(rep, ctx, cfg, "classification")
-
-    rep.verdict = _verdict(
-        rep.classes, profile.is_2step_solvable, restriction2_failed, constructed
-    )
+    rep.verdict = _verdict(rep.classes, restriction2_failed)
     return rep, ctx
 
 
-def _verdict(classes: dict, two_step: bool, restriction2_failed: bool, constructed: bool) -> str:
+def _verdict(classes: dict, restriction2_failed: bool) -> str:
     if classes.get("kahler"):
         return "Kähler"
     parts = [k for k in ("pluriclosed", "balanced") if classes.get(k)]
     if not parts:
         parts = ["non-pluriclosed"]
     hs_bit = "HS-compatible" if classes.get("hermitian_symplectic") else "not HS-compatible"
-    if two_step and restriction2_failed:
+    if restriction2_failed:
         hs_bit += " (restriction2 fails)"
-    out = ", ".join(parts + [hs_bit])
-    if constructed:
-        out += "; Kähler metric constructed"
-    return out
+    return ", ".join(parts + [hs_bit])
 
 
 # ----------------------------------------------------- claims + certificate
@@ -482,46 +487,35 @@ _CLAIM_ROWS = (
 )
 
 
-def _claims_records(rep: AnalysisReport, rec, category: str) -> None:
+def _claim_records(rep: AnalysisReport, claims: ClaimsRecord | ClaimViolation) -> None:
+    """One record per claim row, from the finished claims stage or from
+    its failed vanishing gate, which leaves the later claims unevaluated."""
     for cid, ref, attr in _CLAIM_ROWS:
-        chk = getattr(rec, attr)
-        rep.add(cid, ref, chk.passed, chk.residual, category=category)
+        chk = getattr(claims, attr, None)
+        if chk is None:
+            rep.add(
+                cid, ref, None, None,
+                details="not evaluated: the forced vanishings fail", category="classification",
+            )
+        else:
+            rep.add(cid, ref, chk.passed, chk.residual, category="classification")
 
 
-def _claim_gate_records(rep: AnalysisReport, err: ClaimViolation, cfg: Config, category: str) -> None:
-    """Records for a failed vanishing gate: the three measured residuals
-    plus not-applicable rows for the claims that were never reached."""
-    res = getattr(err, "residuals", {})
-    for cid, ref, key in (
-        ("claim_Z", "Z_x = 0", "Z"),
-        ("claim_w", "w = 0", "w"),
-        ("claim_opposition", "C_x = -D_x", "opposition"),
-    ):
-        v = res.get(key)
-        rep.add(cid, ref, None if v is None else v <= cfg.tol_alg, v, category=category)
-    for cid, ref, _ in _CLAIM_ROWS[3:]:
-        rep.add(
-            cid, ref, None, None,
-            details="not evaluated: the forced vanishings fail", category=category,
-        )
-
-
-def _certify(rep: AnalysisReport, ctx: dict, cfg: Config, category: str) -> bool:
+def _certify(rep: AnalysisReport, ctx: dict, cfg: Config) -> bool:
     """Run the claims + construction stage on the admissible-frame data
-    in ``ctx``, appending its records under ``category``; True when the
-    certificate closes and is positive."""
+    in ``ctx`` and append its records; True when the certificate closes
+    and is positive."""
     dec, sc_adm, sol = ctx["dec"], ctx["sc_adm"], ctx["hs_adm"]
     try:
         cert = kahlerize(dec, sc_adm, sol.S, cfg=cfg, strict=False)
     except ClaimViolation as e:
-        _claim_gate_records(rep, e, cfg, category)
-        rep.add("kahlerize", _KAHLERIZE_REF, False, None, details=str(e), category=category)
+        _claim_records(rep, e)
+        rep.add("kahlerize", _KAHLERIZE_REF, False, None, details=str(e), category="classification")
         return False
     except (StructureError, PreconditionError, CertificationError) as e:
-        rep.add("kahlerize", _KAHLERIZE_REF, False, None, details=str(e), category=category)
+        rep.add("kahlerize", _KAHLERIZE_REF, False, None, details=str(e), category="classification")
         return False
-    ctx["certificate"] = cert
-    _claims_records(rep, cert.claims, category)
+    _claim_records(rep, cert.claims)
     # a property of the model family, not a hypothesis of the construction:
     # rho(x) = i(pi/2) Id on C^2 with the lattice Z[i]^2 is a compact Kahler
     # quotient whose eigenvalue tuples are dependent
@@ -536,11 +530,11 @@ def _certify(rep: AnalysisReport, ctx: dict, cfg: Config, category: str) -> bool
     rep.add(
         "kahlerize_closed", "d omega-tilde = 0", closed_ok, d_res,
         details=" ".join(f"{t:.2e}" for t in cert.termwise_residuals) or "no terms",
-        category=category,
+        category="classification",
     )
     rep.add(
         "kahlerize_positive", "g-tilde is Kähler", cert.positive, None,
-        details=f"min eigenvalue {cert.min_eig:.6g}", category=category,
+        details=f"min eigenvalue {cert.min_eig:.6g}", category="classification",
     )
     rep.extras["certificate"] = {
         "r": cert.r,
@@ -571,12 +565,27 @@ def _certify(rep: AnalysisReport, ctx: dict, cfg: Config, category: str) -> bool
 # ------------------------------------------------------------ entry points
 
 
+def _construct(doc: AlgebraDocument, cfg: Config | None, command: str) -> AnalysisReport:
+    """The pipeline, then the Kähler construction wherever its hypotheses
+    hold.  ``kahlerize`` asks for the construction, so there a blocked
+    one is a failing ``kahlerize`` record; ``analyze`` passes over it in
+    silence, and over Kähler input, which needs no construction."""
+    cfg = _cfg(cfg)
+    rep, ctx = _pipeline(doc, cfg, command)
+    if ctx["blocked"] is not None:
+        if command == "kahlerize":
+            why, residual = ctx["blocked"]
+            rep.add("kahlerize", _KAHLERIZE_REF, False, residual, details=why,
+                    category="classification")
+    elif (command == "kahlerize" or not rep.classes["kahler"]) and _certify(rep, ctx, cfg):
+        rep.verdict += "; Kähler metric constructed"
+    return rep
+
+
 def run_analysis(doc: AlgebraDocument, *, cfg: Config | None = None) -> AnalysisReport:
     """Full consistency + classification pass over one instance,
     including the constructive step whenever its hypotheses hold."""
-    cfg = _cfg(cfg)
-    rep, _ = _pipeline(doc, cfg, "analyze")
-    return rep
+    return _construct(doc, cfg, "analyze")
 
 
 def run_hs(
@@ -589,28 +598,15 @@ def run_hs(
 ) -> AnalysisReport:
     """Closed-completion feasibility at the documented metric.
 
-    Feasibility is the requested result here, so the record is a
-    construction one: an infeasible metric makes the command fail.  The
-    optional metric search reports empirical evidence only.
+    Feasibility is the requested result here: an infeasible metric
+    makes the command fail.  The optional metric search reports
+    empirical evidence only.
     """
     cfg = _cfg(cfg)
-    rep, ctx = _pipeline(doc, cfg, "hs", depth="hs")
-    if not rep.consistent() or "sc" not in ctx:
+    rep, ctx = _checked_input(doc, cfg, "hs")
+    if not rep.consistent():
         return rep
-    sol = hs_decide(ctx["sc"], ctx["g"], cfg=cfg)
-    rep.add(
-        "hs_feasible", "there exists a skew-symmetric matrix",
-        sol.feasible, sol.normalized,
-        details=f"lstsq residual {sol.residual:.3e}, rhs norm {sol.b_norm:.3e}",
-        category="construction",
-    )
-    rep.hs = {
-        "feasible": sol.feasible,
-        "normalized_residual": sol.normalized,
-        "lstsq_residual": sol.residual,
-        "rhs_norm": sol.b_norm,
-        "S": sol.S,
-    }
+    sol = _hs_feasible(rep, ctx["sc"], ctx["g"], cfg)
     rep.verdict = (
         "closed completion exists at this metric"
         if sol.feasible
@@ -620,7 +616,7 @@ def run_hs(
         if sol.feasible:
             rep.add(
                 "hs_search", "it suffices to consider invariant metrics", None, None,
-                details="already feasible at the documented metric", category="construction",
+                details="already feasible at the documented metric", category="classification",
             )
         else:
             result = hs_metric_search(
@@ -629,7 +625,7 @@ def run_hs(
             rep.add(
                 "hs_search", "it suffices to consider invariant metrics",
                 result.found, result.best_residual,
-                details=f"{result.evals} objective evaluations", category="construction",
+                details=f"{result.evals} objective evaluations", category="classification",
             )
             rep.extras["hs_search"] = {
                 "found": result.found,
@@ -644,35 +640,34 @@ def run_hs(
 
 
 def run_verify_claims(doc: AlgebraDocument, *, cfg: Config | None = None) -> AnalysisReport:
-    """The identity tables C1..C7 and D1..D8 plus the structural claims,
-    all as construction records; unavailable preconditions surface as
-    failed records, not exceptions."""
+    """The identity tables C1..C7 and D1..D8 plus the structural claims;
+    unavailable preconditions surface as failed records, not exceptions."""
     cfg = _cfg(cfg)
-    rep, ctx = _pipeline(doc, cfg, "verify-claims", block_category="construction")
+    rep, ctx = _pipeline(doc, cfg, "verify-claims")
     dec = ctx.get("dec")
     if dec is None:
         rep.add(
             "claims", "plumbing", False, None,
             details="needs a 2-step solvable instance with an admissible frame",
-            category="construction",
+            category="classification",
         )
         return rep
     sol = ctx["hs_adm"]
     if not sol.feasible:
         rep.add(
             "claims", "plumbing", False, sol.normalized,
-            details="no closed completion at this metric", category="construction",
+            details="no closed completion at this metric", category="classification",
         )
         return rep
     try:
         rec = claims_pipeline(dec, ctx["sc_adm"], sol.S, cfg=cfg)
     except ClaimViolation as e:
-        _claim_gate_records(rep, e, cfg, "construction")
+        _claim_records(rep, e)
         return rep
     except StructureError as e:
-        rep.add("claims", "plumbing", False, None, details=str(e), category="construction")
+        rep.add("claims", "plumbing", False, None, details=str(e), category="classification")
         return rep
-    _claims_records(rep, rec, "construction")
+    _claim_records(rep, rec)
     rep.extras["claims"] = {
         "lam": rec.lam,
         "xi": rec.xi,
@@ -687,40 +682,6 @@ def run_verify_claims(doc: AlgebraDocument, *, cfg: Config | None = None) -> Ana
 
 def run_kahlerize(doc: AlgebraDocument, *, cfg: Config | None = None) -> AnalysisReport:
     """The constructive closed-positive completion, gated the way the
-    underlying statement is: 2-step solvable, closed completion at the
-    block metric, and the compact-quotient restriction."""
-    cfg = _cfg(cfg)
-    rep, ctx = _pipeline(doc, cfg, "kahlerize")
-    dec = ctx.get("dec")
-    if dec is None:
-        profile = ctx.get("profile")
-        if "sc" not in ctx or profile is None:
-            why = "input fails consistency checks"
-        elif not profile.is_2step_solvable:
-            why = "not 2-step solvable"
-        else:
-            why = "admissible frame unavailable"
-        rep.add("kahlerize", _KAHLERIZE_REF, False, None, details=why, category="construction")
-        return rep
-    # the construction needs the compact-quotient restriction, so here
-    # (and only here) its record carries construction weight
-    for r in rep.records:
-        if r.check_id == "restriction2":
-            r.category = "construction"
-            if r.status == "fail":
-                rep.add(
-                    "kahlerize", _KAHLERIZE_REF, False, r.residual,
-                    details="restriction2 fails: no compact HS quotient, the construction does not apply",
-                    category="construction",
-                )
-                return rep
-    sol = ctx["hs_adm"]
-    if not sol.feasible:
-        rep.add(
-            "kahlerize", _KAHLERIZE_REF, False, sol.normalized,
-            details="no closed completion at this metric", category="construction",
-        )
-        return rep
-    if _certify(rep, ctx, cfg, "construction"):
-        rep.verdict += "; Kähler metric constructed"
-    return rep
+    underlying statement is: 2-step solvable, the compact-quotient
+    restriction, and a closed completion at the block metric."""
+    return _construct(doc, cfg, "kahlerize")

@@ -19,6 +19,7 @@ JSON output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -50,6 +51,7 @@ from .kahler import generate_family
 _CONFIG_FLAGS = ("tol_alg", "tol_feas", "tol_cert", "seed")
 
 
+@functools.cache  # parsing leaves the parser unchanged, so every call can share it
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--tol-alg", type=float, default=None, metavar="T",

@@ -231,6 +231,7 @@ def claims_pipeline(
         )
         err.residuals = {"Z": Z_check.residual, "w": w_check.residual,
                          "opposition": opposition.residual, "worst": worst}
+        err.Z_check, err.w_check, err.opposition = Z_check, w_check, opposition
         raise err
 
     U, _ = simultaneous_diagonalize([bd.Dmat(x) for x in xs], cfg=cfg)
@@ -532,8 +533,10 @@ def generate_family(
     column permutation.
 
     Bad parameters raise :class:`ParameterError`: r outside 1..n-1,
-    shape mismatches, a zero eigenvalue tuple t_i = lam[:, i], or
-    linearly dependent tuples (impossible to avoid when n - r < r).
+    shape mismatches, or a zero eigenvalue tuple t_i = lam[:, i].
+    Supplied tuples may be linearly dependent, since the construction
+    certifies such instances too; drawn tuples are independent, so
+    drawing them needs n - r >= r.
     """
     cfg = _cfg(cfg)
     if not 1 <= r < n:
@@ -559,9 +562,6 @@ def generate_family(
     if np.any(norms <= 1e-12 * max(1.0, _max_abs(lam))):
         bad = int(np.argmin(norms)) + 1
         raise ParameterError(f"eigenvalue tuple t_{bad} is zero")
-    sv = np.linalg.svd(lam, compute_uv=False)
-    if lam.shape[0] < r or sv[-1] <= 1e-8 * sv[0]:
-        raise ParameterError("eigenvalue tuples are linearly dependent")
     keys = []
     for a in range(lam.shape[0] - 1, -1, -1):
         keys.append(lam[a].imag)

@@ -119,6 +119,29 @@ def test_hs_search_is_skipped_when_already_feasible(capsys):
     assert _record(rep, "hs_search")["status"] == "not-applicable"
 
 
+def test_flags_do_not_leak_between_calls(capsys):
+    """The parser is built once and shared by every call, so a flag
+    given to one call must not reach the next."""
+    code, rep = _run_json(capsys, "hs", "kodaira_thurston", "--search")
+    assert code == 1 and _record(rep, "hs_search")["status"] == "fail"
+    code, rep = _run_json(capsys, "hs", "kodaira_thurston")
+    assert code == 1
+    assert "hs_search" not in {r["check_id"] for r in rep["records"]}
+
+
+def test_iwasawa_is_balanced_and_admits_no_hs_structure(capsys):
+    """Nilpotent and non-abelian: no HS metric at all (Enrietti-Fino-Vezzoni)."""
+    code, rep = _run_json(capsys, "analyze", "iwasawa")
+    assert code == 0
+    assert rep["verdict"] == "balanced, not HS-compatible"
+    assert rep["classes"] == {
+        "kahler": False, "pluriclosed": False, "balanced": True, "hermitian_symplectic": False,
+    }
+    code, rep = _run_json(capsys, "hs", "iwasawa", "--search")
+    assert code == 1
+    assert rep["extras"]["hs_search"]["found"] is False
+
+
 # --------------------------------------------------------------- kahlerize
 
 
@@ -156,28 +179,28 @@ def test_kahlerize_torus_is_already_kahler(capsys):
 
 
 def test_kahlerize_agrees_with_analyze_on_dependent_tuples(capsys, tmp_path):
-    """Model-family constants at r = 2, n = 3: the two eigenvalue tuples
-    lie in C^1, so they are dependent (the generator refuses such data).
-    t-independence is a classification there, not a gate, and both
-    commands construct the metric."""
-    from hskahler import AlgebraDocument
-
-    lam = np.array([[1 + 0.5j, -0.3 + 1.2j]])
-    p = np.array([0.4 - 0.2j, 0.7 + 0.1j])
-    C = np.zeros((3, 3, 3), dtype=complex)
-    D = np.zeros((3, 3, 3), dtype=complex)
-    for i in range(2):
-        C[i, i, 2], C[i, 2, i] = -lam[0, i], lam[0, i]
-        D[i, i, 2] = lam[0, i]
-        D[2, i, 2] = np.conj(p[i]) * lam[0, i] * np.conj(lam[0, i])
-    doc = tmp_path / "dependent.json"
-    AlgebraDocument.from_complex("dependent", C, D).save(doc)
+    """Model-family data at r = 2, n = 3: the two eigenvalue tuples lie
+    in C^1, so they are dependent.  t-independence is a classification
+    there, not a gate: both commands construct the metric, and the
+    certificate recovers the generating data."""
+    lam_file, p_file, doc = tmp_path / "lam.json", tmp_path / "p.json", tmp_path / "dep.json"
+    lam_file.write_text(json.dumps([[[1.0, 0.5], [-0.3, 1.2]]]))
+    p_file.write_text(json.dumps([[0.4, -0.2], [0.7, 0.1]]))
+    code, gen = _run_json(
+        capsys, "generate", "--r", "2", "--n", "3",
+        "--lambda", str(lam_file), "--p", str(p_file), "-o", str(doc),
+    )
+    assert code == 0
+    params = gen["extras"]["parameters"]
     for command in ("analyze", "kahlerize"):
         code, rep = _run_json(capsys, command, str(doc))
         assert code == 0, command
         assert rep["verdict"].endswith("; Kähler metric constructed")
         t_rec = _record(rep, "t_independence")
         assert t_rec["status"] == "fail" and t_rec["category"] == "classification"
+    cert = rep["extras"]["certificate"]
+    for key, want in (("lam", params["lambda"]), ("p", params["p"])):
+        assert np.array(cert[key]) == pytest.approx(np.array(want), abs=1e-10), key
 
 
 # ------------------------------------------------------------ verify-claims

@@ -179,6 +179,7 @@ def test_build_guards_check_the_mode():
     ("aff_complex", "complex"),
     ("family_r1n2", "complex"),
     ("family_r2n5", "complex"),
+    ("iwasawa", "complex"),
 ])
 def test_shipped_catalog_loads_and_builds(name, mode):
     doc = catalog_doc(name)

@@ -295,8 +295,8 @@ def test_family_rejects_bad_parameters():
         generate_family(1, 3, np.ones((2, 1)), np.ones(2))  # p shape mismatch
     with pytest.raises(ParameterError):
         generate_family(2, 4, np.array([[1.0, 0.0], [2.0, 0.0]]))  # zero tuple
-    with pytest.raises(ParameterError):
-        generate_family(2, 4, np.array([[1.0, 2.0], [2.0, 4.0]]))  # dependent
+    dependent = generate_family(2, 4, np.array([[1.0, 2.0], [2.0, 4.0]]))  # supplied: accepted
+    assert np.linalg.matrix_rank(dependent.lam) == 1
     with pytest.raises(ParameterError):
         generate_family(1, 2, np.array([[np.nan]]))
 

@@ -12,21 +12,47 @@ from pathlib import Path
 
 import pytest
 
+from hskahler.cli import run_command
+
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def load_targets() -> dict:
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module.TARGETS
+def load_spans():
+    if "bench_spans" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules["bench_spans"]
 
 
-@pytest.mark.parametrize("name, target", sorted(load_targets().items()))
+@pytest.mark.parametrize("name, target", sorted(load_spans().TARGETS.items()))
 def test_trace_target_resolves_to_a_callable(name, target):
     module, path = target
     owner = importlib.import_module(module)
     for attr in path.split("."):
         owner = getattr(owner, attr)
     assert callable(owner), name
+
+
+def test_tracer_sees_the_entry_points(capsys):
+    """The CLI must look its entry points up when it calls them: a
+    function captured earlier (say in a dispatch dict) escapes the
+    tracer, and ``analysis.pipeline.ms`` then reads 0 without an error."""
+    ops = (
+        (["analyze", "family_r2n5"], "analysis.run_analysis"),
+        (["hs", "kodaira_thurston", "--search"], "analysis.run_hs"),
+        (["kahlerize", "family_r1n2"], "analysis.run_kahlerize"),
+    )
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        for op_id, (argv, _) in enumerate(ops):
+            tracer.begin_op(op_id)
+            run_command([*argv, "--json-only"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for op_id, (argv, entry) in enumerate(ops):
+        names = {s.name for s in tracer.spans if s.op_id == op_id}
+        assert {entry, "metrics.hs_decide"} <= names, argv
