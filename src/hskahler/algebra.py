@@ -348,6 +348,7 @@ def unimodularity_check(sc: StructureConstants, *, cfg: Config | None = None) ->
 class SolvableProfile(NamedTuple):
     dims: tuple[int, ...]
     is_2step_solvable: bool
+    commutator: np.ndarray  # orthonormal basis (columns, standard inner product) of [g, g]
 
 
 def _orthonormal_span(vectors: np.ndarray, tol_rank: float, scale: float) -> np.ndarray:
@@ -378,7 +379,8 @@ def _bracket_span(alg: RealLieAlgebra, basis: np.ndarray, tol_rank: float) -> np
 
 
 def solvable_profile(alg: RealLieAlgebra, *, cfg: Config | None = None) -> SolvableProfile:
-    """Dimensions of the derived series and the 2-step verdict.
+    """Dimensions of the derived series, the 2-step verdict, and the
+    commutator [g, g] that the admissible splitting starts from.
 
     The series is g, [g, g], [[g,g],[g,g]], ... with dimensions recorded
     until it hits zero or stabilizes (non-solvable).  2-step solvable
@@ -386,22 +388,15 @@ def solvable_profile(alg: RealLieAlgebra, *, cfg: Config | None = None) -> Solva
     """
     cfg = _cfg(cfg)
     dims = [alg.dim]
-    basis = np.eye(alg.dim)
+    commutator = basis = _bracket_span(alg, np.eye(alg.dim), cfg.tol_rank)
     while True:
-        nxt = _bracket_span(alg, basis, cfg.tol_rank)
-        d = nxt.shape[1]
+        d = basis.shape[1]
         dims.append(d)
         if d == 0 or d == dims[-2]:
             break
-        basis = nxt
+        basis = _bracket_span(alg, basis, cfg.tol_rank)
     is2 = dims[1] == 0 or (len(dims) >= 3 and dims[2] == 0)
-    return SolvableProfile(tuple(dims), is2)
-
-
-def derived_subalgebra(alg: RealLieAlgebra, *, cfg: Config | None = None) -> np.ndarray:
-    """Orthonormal basis (columns, standard inner product) of [g, g]."""
-    cfg = _cfg(cfg)
-    return _bracket_span(alg, np.eye(alg.dim), cfg.tol_rank)
+    return SolvableProfile(tuple(dims), is2, commutator)
 
 
 def change_frame(sc: StructureConstants, A, *, cfg: Config | None = None, validate: bool = False) -> StructureConstants:

@@ -70,7 +70,6 @@ from .metrics import (
 from .solvable import (
     admissible_from_frame,
     build_admissible_frame,
-    extract_blocks,
     verify_bianchi_blocks,
     verify_hs_blocks,
     verify_restrictions,
@@ -327,8 +326,13 @@ def _checked_input(doc: AlgebraDocument, cfg: Config, command: str) -> tuple[Ana
     dd = dd_residual(sc) / scale2
     rep.add("dd_closure", "the (first) structure equation", dd <= cfg.tol_jacobi, dd)
     ctx.update(alg=alg, J=J, G=G, frame=frame, sc=sc, g=g)
-    if rep.failed():
+    failed = {r.check_id for r in rep.failed()}
+    if failed & {"bianchi_families", "dd_closure"}:
         rep.verdict = "structure constants do not define a Lie algebra"
+    elif failed - {"attached_S"}:
+        rep.verdict = "input is not a consistent Hermitian instance"
+    elif failed:
+        rep.verdict = "the document's S is not a closed completion"
     return rep, ctx
 
 
@@ -428,7 +432,7 @@ def _pipeline(doc: AlgebraDocument, cfg: Config, command: str) -> tuple[Analysis
                 category="classification",
             )
             restriction2_failed = not r2.passed
-            for key, chk in verify_bianchi_blocks(extract_blocks(dec, sc_adm), cfg=cfg).items():
+            for key, chk in verify_bianchi_blocks(dec, sc_adm, cfg=cfg).items():
                 rep.add(
                     f"block_{key}", "for any r+1 <= x, y, z <= n",
                     chk.passed, chk.residual, category="classification",
@@ -436,8 +440,7 @@ def _pipeline(doc: AlgebraDocument, cfg: Config, command: str) -> tuple[Analysis
             sol_adm = hs_decide(sc_adm, dec.metric, cfg=cfg)
             ctx.update(dec=dec, sc_adm=sc_adm, hs_adm=sol_adm, blocked=None)
             if sol_adm.feasible:
-                bd = extract_blocks(dec, sc_adm, sol_adm.S)
-                for key, chk in verify_hs_blocks(bd, cfg=cfg).items():
+                for key, chk in verify_hs_blocks(dec, sc_adm, sol_adm.S, cfg=cfg).items():
                     rep.add(
                         f"block_{key}", "so that the following hold",
                         chk.passed, chk.residual, category="classification",

@@ -172,8 +172,13 @@ def _emit(report_dict: dict, text: str, args: argparse.Namespace) -> None:
         sys.stdout.write(body)
 
 
-def _read_complex_array(path: str, what: str) -> np.ndarray:
-    """A JSON array of numbers or [re, im] pairs (possibly nested one deep)."""
+def _read_complex_array(path: str, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A JSON array of numbers or [re, im] pairs (possibly nested one deep).
+
+    A row of two numbers reads either as one [re, im] pair or as two
+    real entries; the reading with the expected ``shape`` wins (a flat
+    array counts as a single column), and the pair reading otherwise.
+    """
     try:
         data = json.loads(Path(path).read_text())
     except OSError as e:
@@ -195,8 +200,19 @@ def _read_complex_array(path: str, what: str) -> np.ndarray:
     if data and isinstance(data[0], list) and not (
         len(data[0]) == 2 and all(isinstance(t, (int, float)) for t in data[0])
     ):
-        return np.array([[scalar(v) for v in row] for row in data], dtype=complex)
-    return np.array([scalar(v) for v in data], dtype=complex)
+        if not all(isinstance(row, list) and len(row) == len(data[0]) for row in data):
+            raise ValidationError(f"{what}: rows must be arrays of equal length")
+        as_pairs = np.array([[scalar(v) for v in row] for row in data], dtype=complex)
+    else:
+        as_pairs = np.array([scalar(v) for v in data], dtype=complex)
+    try:
+        as_reals = np.asarray(data, dtype=complex)
+    except (TypeError, ValueError):  # ragged: pairs mixed with numbers
+        return as_pairs
+    for arr in (as_pairs, as_reals):
+        if arr.shape == shape or (arr.ndim == 1 and (arr.size, 1) == shape):
+            return arr
+    return as_pairs
 
 
 def _cmd_generate(args: argparse.Namespace, cfg: Config) -> int:
@@ -204,10 +220,10 @@ def _cmd_generate(args: argparse.Namespace, cfg: Config) -> int:
         raise ParameterError("--lambda and --p must be given together")
     lam = p = None
     if args.lam is not None:
-        lam = _read_complex_array(args.lam, "--lambda")
+        lam = _read_complex_array(args.lam, "--lambda", (args.n - args.r, args.r))
         if lam.ndim == 1:
             lam = lam.reshape(-1, 1)
-        p = _read_complex_array(args.p, "--p")
+        p = _read_complex_array(args.p, "--p", (args.r,))
         if p.ndim != 1:
             raise ValidationError("--p: must be a flat array")
     fam = generate_family(args.r, args.n, lam, p, seed=cfg.seed, cfg=cfg)

@@ -19,6 +19,7 @@ d(conj a) = conj(d a) exact in floating point.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_right
 from typing import Iterable, Mapping
 
@@ -231,8 +232,20 @@ def _from_accumulator(n: int, acc: dict[Key, list[complex]]) -> InvariantForm:
     return out
 
 
+# the differentials of each StructureConstants object, built on first use and
+# dropped with the object; valid because nothing changes sc.C or sc.D in place
+_DIFFERENTIALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _coframe_differentials(sc: StructureConstants) -> tuple[list[dict[Key, complex]], list[dict[Key, complex]]]:
     """Term dicts of d phi_i and d conj(phi_i) for every i (0-based list)."""
+    dif = _DIFFERENTIALS.get(sc)
+    if dif is None:
+        dif = _DIFFERENTIALS[sc] = _build_differentials(sc)
+    return dif
+
+
+def _build_differentials(sc: StructureConstants) -> tuple[list[dict[Key, complex]], list[dict[Key, complex]]]:
     n = sc.n
     C, D = sc.C, sc.D
     dphi: list[dict[Key, complex]] = []

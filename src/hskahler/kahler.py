@@ -48,7 +48,7 @@ from .errors import (
 )
 from .forms import InvariantForm, hermitian_coefficients
 from .metrics import hs_decide
-from .solvable import AdmissibleDecomposition, extract_blocks
+from .solvable import AdmissibleDecomposition, _blocks, _same_n, _skew
 
 
 # ------------------------------------------------------ joint diagonalization
@@ -176,11 +176,10 @@ class ClaimsRecord:
 
 
 def _sigma_solve(diag: np.ndarray, b: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
-    """Apply the sigma-inverse of a diagonal matrix: entries above the
-    relative threshold are inverted, the rest map to zero."""
-    top = _max_abs(diag)
-    if top == 0.0:
-        return np.zeros_like(b)
+    """Row by row, apply the sigma-inverse of a diagonal matrix: entries
+    above the relative threshold of their row are inverted, the rest map
+    to zero."""
+    top = np.max(np.abs(diag), axis=-1, keepdims=True, initial=0.0)
     keep = np.abs(diag) > rel_tol * top
     out = np.zeros_like(b)
     out[keep] = b[keep] / diag[keep]
@@ -201,24 +200,17 @@ def claims_pipeline(
     gates: a residual above tol_alg raises :class:`ClaimViolation`,
     since everything after them silently assumes the vanishings.  A
     zero eigenvalue tuple t_i raises :class:`StructureError`.  The
-    remaining claims are measured and reported.
+    remaining claims are measured and reported.  Block arrays follow
+    the layout of :func:`hskahler.solvable._blocks`.
     """
     cfg = _cfg(cfg)
-    if S is None:
-        raise PreconditionError("the claims need a closed-completion solution S")
-    S = np.asarray(S, dtype=complex)
-    S = (S - S.T) / 2.0
-    bd = extract_blocks(dec, sc, S)
+    _same_n(dec, sc)
+    S = _skew(S, sc.n)
     n, r, s = dec.n, dec.r, dec.s
-    xs = list(bd.xs())
-    scale = max(1.0, bd.magnitude() ** 2)
+    C, D, Z, _, w, _, _ = _blocks(sc, r)
+    scale = max(1.0, max(sc.magnitude(), _max_abs(S)) ** 2)
 
-    rz = rw = ro = 0.0
-    for x in xs:
-        rz = max(rz, _max_abs(bd._zslice(x)))
-        ro = max(ro, _max_abs(bd.Cmat(x) + bd.Dmat(x)))
-        for y in xs:
-            rw = max(rw, _max_abs(bd.w(x, y)))
+    rz, rw, ro = _max_abs(Z), _max_abs(w), _max_abs(C + D)
     mk = lambda v: CheckResult(v / scale <= cfg.tol_alg, v / scale)
     Z_check, w_check, opposition = mk(rz), mk(rw), mk(ro)
     if not (Z_check.passed and w_check.passed and opposition.passed):
@@ -234,17 +226,15 @@ def claims_pipeline(
         err.Z_check, err.w_check, err.opposition = Z_check, w_check, opposition
         raise err
 
-    U, _ = simultaneous_diagonalize([bd.Dmat(x) for x in xs], cfg=cfg)
+    U, _ = simultaneous_diagonalize(D, cfg=cfg)
     A = np.eye(n, dtype=complex)
     A[:r, :r] = U
     sc_rot = change_frame(sc, A, cfg=cfg)
     Ainv = np.linalg.inv(A)
     S_rot = Ainv.T @ S @ Ainv
-    bdr = extract_blocks(dec, sc_rot, S_rot)
+    _, Dr, _, vr, _, _, Sp = _blocks(sc_rot, r, S_rot)
 
-    lam = np.zeros((n - r, r), dtype=complex)
-    for x in xs:
-        lam[x - r - 1] = np.diagonal(bdr.Dmat(x))
+    lam = np.diagonal(Dr, axis1=1, axis2=2).copy()       # (n - r, r)
     mag = _max_abs(lam)
     t_norms = np.linalg.norm(lam, axis=0)
     if r and np.any(t_norms <= 1e-12 * max(1.0, mag)):
@@ -262,39 +252,23 @@ def claims_pipeline(
     t_independent = t_ratio > 1e-8
 
     # claim 3 on the rotated blocks (unitary-invariant, cheaper to read here)
-    Hs = S_rot[:r, :r].conj().T @ S_rot[:r, :r]
-    r3 = 0.0
-    for x in xs:
-        Dx = bdr.Dmat(x)
-        r3 = max(r3, _max_abs(Dx @ Hs - Hs @ Dx), _max_abs(Dx.conj().T @ Hs - Hs @ Dx.conj().T))
+    Hs = Sp.conj().T @ Sp
+    DrH = np.conj(Dr.swapaxes(1, 2))
+    r3 = max(_max_abs(Dr @ Hs - Hs @ Dr), _max_abs(DrH @ Hs - Hs @ DrH))
 
-    xi = np.zeros((n - r, r), dtype=complex)
-    for x in xs:
-        xi[x - r - 1] = _sigma_solve(np.diagonal(bdr.Dmat(x)), bdr.v(x, x))
+    xi = _sigma_solve(lam, np.diagonal(vr).T)            # xi[x] from v(x, x)
+    # claims 4 and 5 over [x, y, i]: v(x, y) vanishes where lam[x, i] or
+    # lam[y, i] does, and equals lam[y, i] xi[x, i]
+    top = np.max(np.abs(lam), axis=1, keepdims=True, initial=0.0)
+    small = np.abs(lam) <= 1e-8 * np.maximum(top, 1e-300)
+    r4 = _max_abs(vr[small[:, None] | small[None]])
+    r5 = _max_abs(vr - lam[None] * xi[:, None])
 
-    r4 = r5 = 0.0
-    for x in xs:
-        dx = np.diagonal(bdr.Dmat(x))
-        for y in xs:
-            vxy = bdr.v(x, y)
-            dy = np.diagonal(bdr.Dmat(y))
-            dead = (np.abs(dx) <= 1e-8 * max(_max_abs(dx), 1e-300)) | (
-                np.abs(dy) <= 1e-8 * max(_max_abs(dy), 1e-300)
-            )
-            if np.any(dead):
-                r4 = max(r4, _max_abs(vxy[dead]))
-            r5 = max(r5, _max_abs(vxy - dy * xi[x - r - 1]))
-
-    p = np.zeros(r, dtype=complex)
-    for i in range(r):
-        denom = float(np.sum(np.abs(lam[:, i]) ** 2))
-        p[i] = np.conj(np.sum(lam[:, i] * xi[:, i]) / denom)
-    p_res = 0.0
-    for i in range(r):
-        p_res = max(
-            p_res,
-            _max_abs(xi[:, i] - np.conj(p[i]) * np.conj(lam[:, i])) / max(1.0, float(t_norms[i])),
-        )
+    # sum each tuple t_i along a contiguous row, the order numpy uses for a
+    # single vector; summing down the columns rounds differently
+    lt, xt = lam.T.copy(), xi.T.copy()
+    p = np.conj(np.sum(lt * xt, axis=1) / np.sum(np.abs(lt) ** 2, axis=1))
+    p_res = _max_abs(np.abs(xi - np.conj(p) * np.conj(lam)) / np.maximum(1.0, t_norms))
 
     return ClaimsRecord(
         n=n, r=r, s=s,

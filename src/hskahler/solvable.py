@@ -21,7 +21,11 @@ III when s = n; anything else is mixed.
 In an admissible frame the structure constants develop many forced
 zeros, and the surviving blocks obey closed matrix identities plus a
 second list coupling them to a Hermitian-symplectic solution S.  This
-module extracts those blocks and measures every identity as a residual.
+module slices the blocks once into arrays stacked over the labels
+x, y, z in r+1..n (``_blocks`` holds the layout) and measures each
+identity, for all labels at once, as the sup norm of one array
+expression; cyclic and antisymmetric sums over the labels are axis
+permutations of those arrays.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .algebra import (
     RealLieAlgebra,
     StructureConstants,
     _max_abs,
-    derived_subalgebra,
     solvable_profile,
 )
 from .config import Config, _cfg
@@ -203,7 +206,7 @@ def _split(alg: RealLieAlgebra, Jm: np.ndarray, Gm: np.ndarray, cfg: Config):
     geo = _Geometry(Jm, Gm, cfg)
     n = alg.dim // 2
 
-    gp = geo.span(geo.whiten(derived_subalgebra(alg, cfg=cfg)))
+    gp = geo.span(geo.whiten(profile.commutator))
     Jgp = geo.span(geo.Jw @ gp)
     gpJ = geo.j_stabilize(geo.intersect(gp, Jgp))
     if gpJ.shape[1] % 2 != 0:
@@ -318,100 +321,68 @@ def admissible_from_frame(
     )
 
 
+
+
 # ------------------------------------------------------------ block algebra
 
 
-class BlockData:
-    """Matrix and vector blocks of admissible structure constants.
-
-    All accessors take 1-based indices, x and y in r+1..n and the Z
-    label a in s+1..n (outside that range the slice vanishes
-    identically in an admissible frame):
-
-      Cmat(x)[i, j] = C^j_{ix}        Dmat(x)[i, j] = D^j_{ix}
-      Z(a)[i, j]    = D^a_{ij}        v(y, x)[i]    = D^y_{ix}
-      w(x, y)[i]    = C^i_{xy}        u(x)[i]       = S_{ix}
-      Sp            = S[1..r, 1..r]
-
-    (i, j run over 1..r).  The optional skew matrix S enables the
-    u / Sp accessors.
-    """
-
-    def __init__(self, sc: StructureConstants, r: int, s: int, S=None):
-        if not 0 <= r <= s <= sc.n:
-            raise DimensionError(f"block ranges r={r}, s={s} out of order for n={sc.n}")
-        self.sc = sc
-        self.r = r
-        self.s = s
-        self.n = sc.n
-        if S is not None:
-            S = np.asarray(S, dtype=complex)
-            if S.shape != (sc.n, sc.n):
-                raise DimensionError(f"S has shape {S.shape}, expected {(sc.n, sc.n)}")
-            S = (S - S.T) / 2.0
-        self.S = S
-
-    def xs(self) -> range:
-        return range(self.r + 1, self.n + 1)
-
-    def _bound(self, x: int, lo: int) -> int:
-        if not lo <= x <= self.n:
-            raise DimensionError(f"block index {x} outside {lo}..{self.n}")
-        return x
-
-    def Cmat(self, x: int) -> np.ndarray:
-        x = self._bound(x, self.r + 1)
-        return self.sc.C[: self.r, : self.r, x - 1].T.copy()
-
-    def Dmat(self, x: int) -> np.ndarray:
-        x = self._bound(x, self.r + 1)
-        return self.sc.D[: self.r, : self.r, x - 1].T.copy()
-
-    def Z(self, a: int) -> np.ndarray:
-        a = self._bound(a, self.s + 1)
-        return self._zslice(a)
-
-    def _zslice(self, x: int) -> np.ndarray:
-        return self.sc.D[x - 1, : self.r, : self.r].copy()
-
-    def v(self, y: int, x: int) -> np.ndarray:
-        y = self._bound(y, self.r + 1)
-        x = self._bound(x, self.r + 1)
-        return self.sc.D[y - 1, : self.r, x - 1].copy()
-
-    def w(self, x: int, y: int) -> np.ndarray:
-        x = self._bound(x, self.r + 1)
-        y = self._bound(y, self.r + 1)
-        return self.sc.C[: self.r, x - 1, y - 1].copy()
-
-    def _with_S(self) -> np.ndarray:
-        if self.S is None:
-            raise PreconditionError("no skew solution S attached to these blocks")
-        return self.S
-
-    def u(self, x: int) -> np.ndarray:
-        x = self._bound(x, self.r + 1)
-        return self._with_S()[: self.r, x - 1].copy()
-
-    @property
-    def Sp(self) -> np.ndarray:
-        return self._with_S()[: self.r, : self.r].copy()
-
-    def magnitude(self) -> float:
-        m = self.sc.magnitude()
-        if self.S is not None:
-            m = max(m, _max_abs(self.S))
-        return m
-
-
-def extract_blocks(
-    dec: AdmissibleDecomposition, sc: StructureConstants, S=None
-) -> BlockData:
-    """Slice structure constants (given in the admissible frame) into
-    the named blocks; S, when given, populates the u and Sp parts."""
+def _same_n(dec: AdmissibleDecomposition, sc: StructureConstants) -> None:
     if sc.n != dec.n:
         raise DimensionError(f"constants have n={sc.n} but the splitting has n={dec.n}")
-    return BlockData(sc, dec.r, dec.s, S=S)
+
+
+def _skew(S, n: int) -> np.ndarray:
+    """The skew part of a closed-completion solution S, checked to be n x n."""
+    if S is None:
+        raise PreconditionError("the block identities need a closed-completion solution S")
+    S = np.asarray(S, dtype=complex)
+    if S.shape != (n, n):
+        raise DimensionError(f"S has shape {S.shape}, expected {(n, n)}")
+    return (S - S.T) / 2.0
+
+
+def _blocks(sc: StructureConstants, r: int, S=None):
+    """Admissible-frame constants sliced once into stacks over the block
+    labels x, y in r+1..n (stack position x - r - 1), i and j in 1..r:
+
+      C[x][i, j] = C^j_{ix}        D[x][i, j] = D^j_{ix}
+      Z[x][i, j] = D^x_{ij}        v[y, x][i] = D^y_{ix}
+      w[x, y][i] = C^i_{xy}        u[x][i]    = S_{ix}
+      Sp         = S[1..r, 1..r]
+
+    Returns (C, D, Z, v, w, u, Sp); u and Sp are None without S.  Z
+    vanishes on the V labels r+1..s of an admissible frame; it is kept
+    there so that the identities measure those entries too.
+    """
+    C = sc.C[:r, :r, r:].transpose(2, 1, 0)
+    D = sc.D[:r, :r, r:].transpose(2, 1, 0)
+    Z = sc.D[r:, :r, :r]
+    v = sc.D[r:, :r, r:].transpose(0, 2, 1)
+    w = sc.C[:r, r:, r:].transpose(1, 2, 0)
+    if S is None:
+        return C, D, Z, v, w, None, None
+    return C, D, Z, v, w, S[:r, r:].T, S[:r, :r]
+
+
+def _H(A: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return np.conj(A.swapaxes(-1, -2))
+
+
+def _pairs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[x, y] -> A_x B_y for two stacks of matrices."""
+    return A[:, None] @ B[None]
+
+
+def _cyclic(P: np.ndarray) -> np.ndarray:
+    """[x, y, z] -> P[x, y, z] + P[y, z, x] + P[z, x, y] over the leading axes."""
+    rest = tuple(range(3, P.ndim))
+    return P + P.transpose(2, 0, 1, *rest) + P.transpose(1, 2, 0, *rest)
+
+
+def _flip(P: np.ndarray) -> np.ndarray:
+    """[x, y, z] -> P[z, y, x] over the leading axes."""
+    return P.transpose(2, 1, 0, *range(3, P.ndim))
 
 
 def verify_restrictions(
@@ -428,8 +399,7 @@ def verify_restrictions(
     reported, never raised.
     """
     cfg = _cfg(cfg)
-    if sc.n != dec.n:
-        raise DimensionError(f"constants have n={sc.n} but the splitting has n={dec.n}")
+    _same_n(dec, sc)
     r, s = dec.r, dec.s
     C, D = sc.C, sc.D
     scale = max(1.0, sc.magnitude())
@@ -460,107 +430,74 @@ def verify_restrictions(
     }
 
 
-def verify_bianchi_blocks(bd: BlockData, *, cfg: Config | None = None) -> dict[str, CheckResult]:
+def verify_bianchi_blocks(
+    dec: AdmissibleDecomposition, sc: StructureConstants, *, cfg: Config | None = None
+) -> dict[str, CheckResult]:
     """The seven matrix identities forced on the blocks by Jacobi (once
-    the restriction vanishings hold); keys "C1".."C7", residuals in sup
-    norm scaled by max(1, magnitude^2)."""
+    the restriction vanishings hold) for all labels x, y, z; keys
+    "C1".."C7", residuals in sup norm scaled by max(1, magnitude^2).
+    ``sc`` must be given in the admissible frame of ``dec``."""
     cfg = _cfg(cfg)
-    xs = list(bd.xs())
-    scale = max(1.0, bd.sc.magnitude() ** 2)
-    res = {k: 0.0 for k in ("C1", "C2", "C3", "C4", "C5", "C6", "C7")}
-    for x in xs:
-        Cx, Dx, Zx = bd.Cmat(x), bd.Dmat(x), bd._zslice(x)
-        for y in xs:
-            Cy, Dy, Zy = bd.Cmat(y), bd.Dmat(y), bd._zslice(y)
-            res["C1"] = max(res["C1"], _max_abs(Cx @ Cy - Cy @ Cx), _max_abs(Dx @ Dy - Dy @ Dx))
-            res["C2"] = max(res["C2"], _max_abs(Cx.conj().T @ Dy - Dy @ Cx.conj().T + Zx @ np.conj(Zy)))
-            res["C3"] = max(res["C3"], _max_abs(Dx @ Zy - Zy @ Cx.T))
-            res["C4"] = max(
-                res["C4"],
-                _max_abs(
-                    Cx.conj().T @ Zy - Zy @ np.conj(Dx) - Cy.conj().T @ Zx + Zx @ np.conj(Dy)
-                ),
-            )
-            for z in xs:
-                Cz, Dz, Zz = bd.Cmat(z), bd.Dmat(z), bd._zslice(z)
-                res["C5"] = max(
-                    res["C5"],
-                    _max_abs(Cx.T @ bd.w(y, z) + Cy.T @ bd.w(z, x) + Cz.T @ bd.w(x, y)),
-                )
-                res["C6"] = max(
-                    res["C6"],
-                    _max_abs(Dx @ bd.v(y, z) - Dz @ bd.v(y, x) + Zy @ bd.w(x, z)),
-                )
-                res["C7"] = max(
-                    res["C7"],
-                    _max_abs(
-                        Cx.conj().T @ bd.v(z, y)
-                        - Cz.conj().T @ bd.v(x, y)
-                        + Dy @ np.conj(bd.w(x, z))
-                        + Zx @ np.conj(bd.v(y, z))
-                        - Zz @ np.conj(bd.v(y, x))
-                    ),
-                )
-    return {k: CheckResult(v / scale <= cfg.tol_alg, v / scale) for k, v in res.items()}
+    _same_n(dec, sc)
+    C, D, Z, v, w, _, _ = _blocks(sc, dec.r)
+    Ch = _H(C)
+    CC, DD = _pairs(C, C), _pairs(D, D)
+    K = _pairs(Ch, Z) - Z[None] @ np.conj(D)[:, None]   # C_x^* Z_y - Z_y conj(D_x)
+    A = np.einsum("xij,yzj->xyzi", D, v)                # D_x v(y, z)
+    F = np.einsum("xij,zyj->xyzi", Ch, v) + np.einsum("xij,yzj->xyzi", Z, np.conj(v))
+    res = {
+        "C1": max(_max_abs(CC - CC.swapaxes(0, 1)), _max_abs(DD - DD.swapaxes(0, 1))),
+        "C2": _max_abs(_pairs(Ch, D) - D[None] @ Ch[:, None] + _pairs(Z, np.conj(Z))),
+        "C3": _max_abs(_pairs(D, Z) - Z[None] @ C.swapaxes(1, 2)[:, None]),
+        "C4": _max_abs(K - K.swapaxes(0, 1)),
+        "C5": _max_abs(_cyclic(np.einsum("xji,yzj->xyzi", C, w))),
+        "C6": _max_abs(A - _flip(A) + np.einsum("yij,xzj->xyzi", Z, w)),
+        "C7": _max_abs(F - _flip(F) + np.einsum("yij,xzj->xyzi", D, np.conj(w))),
+    }
+    scale = max(1.0, sc.magnitude() ** 2)
+    return {k: CheckResult(e / scale <= cfg.tol_alg, e / scale) for k, e in res.items()}
 
 
-def verify_hs_blocks(bd: BlockData, *, cfg: Config | None = None) -> dict[str, CheckResult]:
+def verify_hs_blocks(
+    dec: AdmissibleDecomposition, sc: StructureConstants, S, *, cfg: Config | None = None
+) -> dict[str, CheckResult]:
     """Block identities coupling admissible structure constants to a
     closed-completion solution S; keys "D1".."D8" plus the summary
     system that collects their consequences ("sym1".."sym4" and the
     middle-range "reality" line).
 
-    The pairing below is the bilinear dot product (no conjugation),
-    matching the bilinear extension of the metric.
+    The pairing of u with v and w is the bilinear dot product (no
+    conjugation), matching the bilinear extension of the metric.
     """
     cfg = _cfg(cfg)
-    if bd.S is None:
-        raise PreconditionError("these identities need a skew solution S")
-    xs = list(bd.xs())
-    Sp = bd.Sp
-    scale = max(1.0, bd.magnitude() ** 2)
-    keys = ("D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8",
-            "sym1", "sym2", "sym3", "sym4", "reality")
-    res = {k: 0.0 for k in keys}
-    for x in xs:
-        Cx, Dx, Zx, ux = bd.Cmat(x), bd.Dmat(x), bd._zslice(x), bd.u(x)
-        res["D4"] = max(res["D4"], _max_abs(Cx + Dx + 2j * Sp @ np.conj(Zx)))
-        res["D5"] = max(
-            res["D5"], _max_abs(Zx.T - Zx - 2j * (Dx.conj().T @ Sp + Sp @ np.conj(Dx)))
-        )
-        res["D6"] = max(res["D6"], _max_abs(Sp @ Cx.T + Cx @ Sp))
-        res["sym1"] = max(res["sym1"], _max_abs(Dx @ Sp + Sp @ Dx.T))
-        res["sym2"] = max(res["sym2"], _max_abs(Dx.conj().T @ Sp + Sp @ np.conj(Dx)))
-        for y in xs:
-            Cy, Dy, Zy, uy = bd.Cmat(y), bd.Dmat(y), bd._zslice(y), bd.u(y)
-            res["D2"] = max(
-                res["D2"],
-                _max_abs(Sp @ np.conj(bd.v(x, y)) + Dy.conj().T @ ux - 0.5j * bd.v(y, x)),
-            )
-            res["D3"] = max(
-                res["D3"],
-                _max_abs(Zx.conj().T @ uy - Zy.conj().T @ ux - 0.5j * bd.w(x, y)),
-            )
-            res["D7"] = max(res["D7"], _max_abs(Cx @ uy - Cy @ ux - Sp @ bd.w(x, y)))
-            res["sym4"] = max(res["sym4"], _max_abs(Dx @ uy - Dy @ ux))
-            for z in xs:
-                res["D1"] = max(
-                    res["D1"],
-                    abs(ux @ np.conj(bd.v(z, y)) - bd.u(z) @ np.conj(bd.v(x, y))),
-                )
-                res["D8"] = max(
-                    res["D8"],
-                    abs(ux @ bd.w(y, z) + uy @ bd.w(z, x) + bd.u(z) @ bd.w(x, y)),
-                )
-                Dz = bd.Dmat(z)
-                res["sym3"] = max(
-                    res["sym3"],
-                    _max_abs(Dx @ bd.v(y, z) - Dz @ bd.v(y, x)),
-                    _max_abs(Dx.conj().T @ bd.v(z, y) - Dz.conj().T @ bd.v(x, y)),
-                )
-    for a in range(bd.r + 1, bd.s + 1):
-        Da = bd.Dmat(a)
-        res["reality"] = max(res["reality"], _max_abs(Da.conj().T - Da))
-        for b in range(bd.r + 1, bd.s + 1):
-            res["reality"] = max(res["reality"], _max_abs(bd.v(a, b) - bd.v(b, a)))
-    return {k: CheckResult(v / scale <= cfg.tol_alg, v / scale) for k, v in res.items()}
+    _same_n(dec, sc)
+    S = _skew(S, sc.n)
+    r, s = dec.r, dec.s
+    C, D, Z, v, w, u, Sp = _blocks(sc, r, S)
+    sym2 = _H(D) @ Sp + Sp @ np.conj(D)
+    ZHu = np.einsum("xji,yj->xyi", np.conj(Z), u)       # Z_x^* u_y
+    Cu = np.einsum("xij,yj->xyi", C, u)
+    Du = np.einsum("xij,yj->xyi", D, u)
+    uv = np.einsum("xi,zyi->xyz", u, np.conj(v))         # u_x . conj(v(z, y))
+    A = np.einsum("xij,yzj->xyzi", D, v)                # D_x v(y, z)
+    B = np.einsum("xji,zyj->xyzi", np.conj(D), v)       # D_x^* v(z, y)
+    Dv, vv = D[: s - r], v[: s - r, : s - r]             # labels in the V range
+    res = {
+        "D1": _max_abs(uv - _flip(uv)),
+        "D2": _max_abs(
+            np.conj(v) @ Sp.T + np.einsum("yji,xj->xyi", np.conj(D), u) - 0.5j * v.swapaxes(0, 1)
+        ),
+        "D3": _max_abs(ZHu - ZHu.swapaxes(0, 1) - 0.5j * w),
+        "D4": _max_abs(C + D + 2j * Sp @ np.conj(Z)),
+        "D5": _max_abs(Z.swapaxes(1, 2) - Z - 2j * sym2),
+        "D6": _max_abs(Sp @ C.swapaxes(1, 2) + C @ Sp),
+        "D7": _max_abs(Cu - Cu.swapaxes(0, 1) - w @ Sp.T),
+        "D8": _max_abs(_cyclic(np.einsum("xi,yzi->xyz", u, w))),
+        "sym1": _max_abs(D @ Sp + Sp @ D.swapaxes(1, 2)),
+        "sym2": _max_abs(sym2),
+        "sym3": max(_max_abs(A - _flip(A)), _max_abs(B - _flip(B))),
+        "sym4": _max_abs(Du - Du.swapaxes(0, 1)),
+        "reality": max(_max_abs(_H(Dv) - Dv), _max_abs(vv - vv.swapaxes(0, 1))),
+    }
+    scale = max(1.0, max(sc.magnitude(), _max_abs(S)) ** 2)
+    return {k: CheckResult(e / scale <= cfg.tol_alg, e / scale) for k, e in res.items()}

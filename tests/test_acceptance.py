@@ -38,7 +38,6 @@ from hskahler.metrics import (
 )
 from hskahler.solvable import (
     admissible_from_frame,
-    extract_blocks,
     verify_bianchi_blocks,
     verify_hs_blocks,
     verify_restrictions,
@@ -178,10 +177,9 @@ def test_criterion_5_family_positive_control():
         dec = admissible_from_frame(fam.alg, fam.J, fam.G, fam.frame)
         for chk in verify_restrictions(dec, fam.sc).values():
             worst["restr"] = max(worst["restr"], chk.residual)
-        bd = extract_blocks(dec, fam.sc, S=fam.S)
-        for chk in verify_bianchi_blocks(bd).values():
+        for chk in verify_bianchi_blocks(dec, fam.sc).values():
             worst["blocks"] = max(worst["blocks"], chk.residual)
-        for chk in verify_hs_blocks(bd).values():
+        for chk in verify_hs_blocks(dec, fam.sc, fam.S).values():
             worst["blocks"] = max(worst["blocks"], chk.residual)
 
         rec = claims_pipeline(dec, fam.sc, fam.S)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from hskahler.cli import run_command
+from hskahler.documents import AlgebraDocument
+from hskahler.kahler import generate_family
 
 
 def _run(capsys, *argv):
@@ -81,6 +83,28 @@ def test_analyze_missing_file_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err
+
+
+def test_failing_attached_S_has_its_own_verdict(capsys, tmp_path):
+    fam = generate_family(1, 3, seed=3)
+    shifted = tmp_path / "shifted.json"
+    AlgebraDocument.from_complex("shifted", fam.sc.C, fam.sc.D, g=fam.g, S=fam.S + 0.3).save(shifted)
+    for command in ("analyze", "kahlerize", "verify-claims"):
+        code, rep = _run_json(capsys, command, str(shifted))
+        assert code == 1
+        assert rep["verdict"] == "the document's S is not a closed completion"
+        failed = [r["check_id"] for r in rep["records"]
+                  if r["status"] == "fail" and r["category"] == "consistency"]
+        assert failed == ["attached_S"]
+    # broken constants still name the algebra, whatever the attached S
+    D = fam.sc.D.copy()
+    D[2, 0, 1] += 0.5
+    broken = tmp_path / "broken.json"
+    AlgebraDocument.from_complex("broken", fam.sc.C, D, g=fam.g, S=fam.S + 0.3).save(broken)
+    code, rep = _run_json(capsys, "analyze", str(broken))
+    assert code == 1
+    assert _record(rep, "bianchi_families")["status"] == "fail"
+    assert rep["verdict"] == "structure constants do not define a Lie algebra"
 
 
 # ---------------------------------------------------------------------- hs
@@ -260,6 +284,37 @@ def test_generate_with_explicit_data(capsys, tmp_path):
     assert np.array(rep["extras"]["certificate"]["p"]) == pytest.approx(
         np.array([[0.2, 0.1]]), abs=1e-10
     )
+
+
+@pytest.mark.parametrize("r,n,lam,p,want", [
+    # two numbers per row fill a 2 x 2 real matrix at r = 2 ...
+    (2, 4, [[1, 2], [2, 4]], [0.5, 0.25], [[[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [4.0, 0.0]]]),
+    # ... and a column of [re, im] pairs at r = 1
+    (1, 3, [[1, 2], [3, 4]], [[0.5, 0.25]], [[[1.0, 2.0]], [[3.0, 4.0]]]),
+])
+def test_generate_lambda_shape_decides_pairs(capsys, tmp_path, r, n, lam, p, want):
+    lam_file, p_file = tmp_path / "lam.json", tmp_path / "p.json"
+    lam_file.write_text(json.dumps(lam))
+    p_file.write_text(json.dumps(p))
+    code, rep = _run_json(
+        capsys, "generate", "--r", str(r), "--n", str(n),
+        "--lambda", str(lam_file), "--p", str(p_file), "-o", str(tmp_path / "x.json"),
+    )
+    assert code == 0
+    assert rep["extras"]["parameters"]["lambda"] == want
+
+
+@pytest.mark.parametrize("lam", ["[[1, 2, 3], 4]", "[[1, 2, 3], [4, 5]]", "[[1, 2], [3, \"x\"]]"])
+def test_generate_rejects_malformed_lambda(capsys, tmp_path, lam):
+    lam_file, p_file = tmp_path / "lam.json", tmp_path / "p.json"
+    lam_file.write_text(lam)
+    p_file.write_text("[1]")
+    code = run_command([
+        "generate", "--r", "1", "--n", "3",
+        "--lambda", str(lam_file), "--p", str(p_file), "-o", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert "--lambda" in capsys.readouterr().err
 
 
 def test_generate_lambda_without_p_is_a_usage_error(capsys, tmp_path):

@@ -20,6 +20,7 @@ from hskahler import (
     positivity_11,
     type_split,
 )
+from hskahler.forms import _coframe_differentials
 
 from conftest import aff_sc, jacobi_pool, random_jacobi_sc, random_posdef
 
@@ -188,3 +189,13 @@ def test_key_normalization_and_signs():
     assert (a - b).is_zero()
     # repeated index collapses to zero
     assert InvariantForm(2, {((1, 1), ()): 1.0}).is_zero()
+
+
+def test_coframe_differentials_are_built_once_per_constants():
+    sc = aff_sc()
+    first = _coframe_differentials(sc)
+    assert _coframe_differentials(sc) is first
+    other = _coframe_differentials(aff_sc())
+    assert other is not first and other == first
+    phi = InvariantForm.phi(sc.n, 1)
+    assert phi.d(sc).terms == phi.d(aff_sc()).terms

@@ -152,6 +152,62 @@ def test_claims_need_a_solution():
         claims_pipeline(_family_dec(fam), fam.sc, None)
 
 
+def _loop_claims(rec):
+    """Claims 3-5, xi, p and its residual, one label at a time on the
+    rotated blocks; raw residuals, the reference for the array version."""
+    sc, S, r = rec.sc_rotated, rec.S_rotated, rec.r
+    xs = range(r + 1, rec.n + 1)
+    Dm = lambda x: sc.D[:r, :r, x - 1].T
+    v = lambda y, x: sc.D[y - 1, :r, x - 1]
+    amax = lambda a: float(np.max(np.abs(a), initial=0.0))
+    Hs = S[:r, :r].conj().T @ S[:r, :r]
+    out = {"commutation": 0.0, "range_membership": 0.0, "common_preimage": 0.0}
+    xi = np.zeros((len(xs), r), dtype=complex)
+    for x in xs:
+        Dx, d, b = Dm(x), np.diagonal(Dm(x)), v(x, x)
+        out["commutation"] = max(out["commutation"], amax(Dx @ Hs - Hs @ Dx),
+                                 amax(Dx.conj().T @ Hs - Hs @ Dx.conj().T))
+        keep = np.abs(d) > 1e-8 * amax(d)
+        xi[x - r - 1][keep] = b[keep] / d[keep]
+    for x in xs:
+        dx = np.diagonal(Dm(x))
+        for y in xs:
+            dy = np.diagonal(Dm(y))
+            dead = (np.abs(dx) <= 1e-8 * max(amax(dx), 1e-300)) | (
+                np.abs(dy) <= 1e-8 * max(amax(dy), 1e-300))
+            out["range_membership"] = max(out["range_membership"], amax(v(x, y)[dead]))
+            out["common_preimage"] = max(out["common_preimage"], amax(v(x, y) - dy * xi[x - r - 1]))
+    lam = rec.lam
+    p = np.array([np.conj(np.sum(lam[:, i] * xi[:, i]) / float(np.sum(np.abs(lam[:, i]) ** 2)))
+                  for i in range(r)])
+    p_res = max(amax(xi[:, i] - np.conj(p[i]) * np.conj(lam[:, i]))
+                / max(1.0, float(np.linalg.norm(lam[:, i]))) for i in range(r))
+    return out, xi, p, p_res
+
+
+def test_claims_match_the_per_label_loops():
+    # a zero eigenvalue entry, a perturbed v block and a nonzero core block
+    # of S: claims 3 to 5 fail while the gates of claims 1 and 2 pass
+    fam = generate_family(3, 6, lam=[[1.0, 0.5j, 0.2], [0.0, 1.0, -0.4j], [0.3 - 0.2j, -0.7, 0.9]],
+                          p=[0.4 + 0.1j, -0.2 + 0.6j, 0.5])
+    rng = np.random.default_rng(31)
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    D = fam.sc.D.copy()
+    D[3:, :3, 3:] += 0.1 * cplx(3, 3, 3)
+    sc = StructureConstants(fam.sc.C, D, validate=False)
+    S = fam.S.copy()
+    S[:3, :3] = 0.2 * (lambda A: A - A.T)(cplx(3, 3))
+    rec = claims_pipeline(_family_dec(fam), sc, S)
+    ref, xi, p, p_res = _loop_claims(rec)
+    scale = max(1.0, max(sc.magnitude(), float(np.max(np.abs(S)))) ** 2)
+    for key, want in ref.items():
+        assert want > 0.0, key
+        assert getattr(rec, key).residual == pytest.approx(want / scale, rel=1e-12), key
+    assert np.array_equal(rec.xi, xi)
+    assert np.array_equal(rec.p, p)
+    assert rec.p_residual == pytest.approx(p_res, rel=1e-12) and p_res > 0.0
+
+
 def test_vanishing_eigenvalue_tuple_is_structural():
     # abelian constants in a splitting that insists on a core direction:
     # the core never appears in any bracket, so t_1 = 0

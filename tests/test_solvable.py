@@ -1,5 +1,7 @@
 """Admissible frames, block slicing, and the block identity lists."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,16 @@ from hskahler.algebra import (
     Frame,
     RealLieAlgebra,
     StructureConstants,
+    _max_abs,
     complexify_and_extract,
     realify,
 )
 from hskahler.errors import DimensionError, PreconditionError, StructureError
 from hskahler.kahler import generate_family
 from hskahler.solvable import (
-    BlockData,
+    _blocks,
     admissible_from_frame,
     build_admissible_frame,
-    extract_blocks,
     verify_bianchi_blocks,
     verify_hs_blocks,
     verify_restrictions,
@@ -115,11 +117,10 @@ def test_family_satisfies_all_block_identities(r, n, seed):
     fam = generate_family(r, n, seed=seed)
     alg, J, G, frame = realify(fam.sc.C, fam.sc.D, fam.g)
     dec = admissible_from_frame(alg, J, G, frame)
-    bd = extract_blocks(dec, fam.sc, S=fam.S)
-    for name, check in verify_bianchi_blocks(bd).items():
+    for name, check in verify_bianchi_blocks(dec, fam.sc).items():
         assert check.passed, f"{name}: {check.residual}"
         assert check.residual <= 1e-12
-    for name, check in verify_hs_blocks(bd).items():
+    for name, check in verify_hs_blocks(dec, fam.sc, fam.S).items():
         assert check.passed, f"{name}: {check.residual}"
         assert check.residual <= 1e-12
 
@@ -145,7 +146,7 @@ def test_admissible_from_frame_rejects_unadapted_columns():
 
 
 def _tagged_blocks():
-    """r = 1, s = 2, n = 3 constants with one marker per accessor."""
+    """r = 1, s = 2, n = 3 constants with one marker per block."""
     C = np.zeros((3, 3, 3), dtype=complex)
     D = np.zeros((3, 3, 3), dtype=complex)
     C[0, 0, 2], C[0, 2, 0] = 2.0, -2.0
@@ -156,54 +157,140 @@ def _tagged_blocks():
     sc = StructureConstants(C, D, validate=False)
     S = np.zeros((3, 3), dtype=complex)
     S[0, 1], S[1, 0] = 11.0j, -11.0j
-    return BlockData(sc, 1, 2, S=S)
+    return _blocks(sc, 1, S)
 
 
-def test_blockdata_accessors_pick_the_right_entries():
-    bd = _tagged_blocks()
-    assert list(bd.xs()) == [2, 3]
-    assert bd.Cmat(3) == pytest.approx(np.array([[2.0]]))
-    assert bd.Dmat(3) == pytest.approx(np.array([[3.0 + 1.0j]]))
-    assert bd.Z(3) == pytest.approx(np.array([[5.0]]))
-    assert bd.v(2, 3) == pytest.approx(np.array([7.0]))
-    assert bd.w(2, 3) == pytest.approx(np.array([9.0]))
-    assert bd.w(3, 2) == pytest.approx(np.array([-9.0]))
-    assert bd.u(2) == pytest.approx(np.array([11.0j]))
-    assert bd.Sp == pytest.approx(np.zeros((1, 1)))
+def test_blocks_layout_picks_the_right_entries():
+    # stack position k holds the label x = r + 1 + k, here x = 2, 3
+    C, D, Z, v, w, u, Sp = _tagged_blocks()
+    assert C.shape == D.shape == Z.shape == (2, 1, 1)
+    assert v.shape == w.shape == (2, 2, 1) and u.shape == (2, 1) and Sp.shape == (1, 1)
+    assert C[1] == pytest.approx(np.array([[2.0]]))
+    assert D[1] == pytest.approx(np.array([[3.0 + 1.0j]]))
+    assert Z[1] == pytest.approx(np.array([[5.0]]))
+    assert Z[0] == pytest.approx(np.zeros((1, 1)))
+    assert v[0, 1] == pytest.approx(np.array([7.0]))
+    assert w[0, 1] == pytest.approx(np.array([9.0]))
+    assert w[1, 0] == pytest.approx(np.array([-9.0]))
+    assert u[0] == pytest.approx(np.array([11.0j]))
+    assert Sp == pytest.approx(np.zeros((1, 1)))
+    assert _blocks(StructureConstants(np.zeros((3, 3, 3)), np.zeros((3, 3, 3))), 1)[5:] == (None, None)
 
 
-def test_blockdata_index_bounds():
-    bd = _tagged_blocks()
-    with pytest.raises(DimensionError):
-        bd.Cmat(1)  # core index, outside the x range
-    with pytest.raises(DimensionError):
-        bd.Cmat(4)
-    with pytest.raises(DimensionError):
-        bd.Z(2)  # V range, Z lives on s+1..n
-    with pytest.raises(DimensionError):
-        bd.v(1, 3)
-
-
-def test_blockdata_validation():
+def test_hs_blocks_validation():
     sc = StructureConstants(
         np.zeros((3, 3, 3), dtype=complex), np.zeros((3, 3, 3), dtype=complex)
     )
+    dec = SimpleNamespace(n=3, r=1, s=2)
     with pytest.raises(DimensionError):
-        BlockData(sc, 2, 1)
-    with pytest.raises(DimensionError):
-        BlockData(sc, 1, 2, S=np.eye(2))
-    bare = BlockData(sc, 1, 2)
+        verify_hs_blocks(dec, sc, np.eye(2))
     with pytest.raises(PreconditionError):
-        bare.u(2)
-    with pytest.raises(PreconditionError):
-        verify_hs_blocks(bare)
+        verify_hs_blocks(dec, sc, None)
 
 
-def test_extract_blocks_dimension_guard():
+def test_block_identities_dimension_guard():
     alg = RealLieAlgebra(np.zeros((4, 4, 4)))
     dec = build_admissible_frame(alg, _standard_J(2), np.eye(4))
     wrong = StructureConstants(
         np.zeros((3, 3, 3), dtype=complex), np.zeros((3, 3, 3), dtype=complex)
     )
     with pytest.raises(DimensionError):
-        extract_blocks(dec, wrong)
+        verify_bianchi_blocks(dec, wrong)
+    with pytest.raises(DimensionError):
+        verify_hs_blocks(dec, wrong, np.zeros((3, 3)))
+
+
+# --------------------------------------------- per-label loop reference
+
+
+def _loop_identities(sc, r, s, S):
+    """Raw sup norms of C1..C7, D1..D8, sym1..sym4 and reality, one
+    label x, y, z at a time with 1-based accessors; the reference the
+    array expressions are held to."""
+    xs = range(r + 1, sc.n + 1)
+    Cm = lambda x: sc.C[:r, :r, x - 1].T
+    Dm = lambda x: sc.D[:r, :r, x - 1].T
+    Zm = lambda x: sc.D[x - 1, :r, :r]
+    v = lambda y, x: sc.D[y - 1, :r, x - 1]
+    w = lambda x, y: sc.C[:r, x - 1, y - 1]
+    u = lambda x: S[:r, x - 1]
+    Sp = S[:r, :r]
+    H = lambda M: M.conj().T
+    res = {}
+
+    def put(key, val):
+        res[key] = max(res.get(key, 0.0), float(val))
+
+    for x in xs:
+        Cx, Dx, Zx = Cm(x), Dm(x), Zm(x)
+        put("D4", _max_abs(Cx + Dx + 2j * Sp @ np.conj(Zx)))
+        put("D5", _max_abs(Zx.T - Zx - 2j * (H(Dx) @ Sp + Sp @ np.conj(Dx))))
+        put("D6", _max_abs(Sp @ Cx.T + Cx @ Sp))
+        put("sym1", _max_abs(Dx @ Sp + Sp @ Dx.T))
+        put("sym2", _max_abs(H(Dx) @ Sp + Sp @ np.conj(Dx)))
+        for y in xs:
+            Cy, Dy, Zy = Cm(y), Dm(y), Zm(y)
+            put("C1", max(_max_abs(Cx @ Cy - Cy @ Cx), _max_abs(Dx @ Dy - Dy @ Dx)))
+            put("C2", _max_abs(H(Cx) @ Dy - Dy @ H(Cx) + Zx @ np.conj(Zy)))
+            put("C3", _max_abs(Dx @ Zy - Zy @ Cx.T))
+            put("C4", _max_abs(H(Cx) @ Zy - Zy @ np.conj(Dx) - H(Cy) @ Zx + Zx @ np.conj(Dy)))
+            put("D2", _max_abs(Sp @ np.conj(v(x, y)) + H(Dy) @ u(x) - 0.5j * v(y, x)))
+            put("D3", _max_abs(H(Zx) @ u(y) - H(Zy) @ u(x) - 0.5j * w(x, y)))
+            put("D7", _max_abs(Cx @ u(y) - Cy @ u(x) - Sp @ w(x, y)))
+            put("sym4", _max_abs(Dx @ u(y) - Dy @ u(x)))
+            for z in xs:
+                Cz, Dz, Zz = Cm(z), Dm(z), Zm(z)
+                put("C5", _max_abs(Cx.T @ w(y, z) + Cy.T @ w(z, x) + Cz.T @ w(x, y)))
+                put("C6", _max_abs(Dx @ v(y, z) - Dz @ v(y, x) + Zy @ w(x, z)))
+                put("C7", _max_abs(
+                    H(Cx) @ v(z, y) - H(Cz) @ v(x, y) + Dy @ np.conj(w(x, z))
+                    + Zx @ np.conj(v(y, z)) - Zz @ np.conj(v(y, x))
+                ))
+                put("D1", abs(u(x) @ np.conj(v(z, y)) - u(z) @ np.conj(v(x, y))))
+                put("D8", abs(u(x) @ w(y, z) + u(y) @ w(z, x) + u(z) @ w(x, y)))
+                put("sym3", max(_max_abs(Dx @ v(y, z) - Dz @ v(y, x)),
+                                _max_abs(H(Dx) @ v(z, y) - H(Dz) @ v(x, y))))
+    for a in range(r + 1, s + 1):
+        put("reality", _max_abs(H(Dm(a)) - Dm(a)))
+        for b in range(r + 1, s + 1):
+            put("reality", _max_abs(v(a, b) - v(b, a)))
+    return res
+
+
+_ALL_KEYS = {f"C{k}" for k in range(1, 8)} | {f"D{k}" for k in range(1, 9)} | {
+    "sym1", "sym2", "sym3", "sym4", "reality"}
+
+
+@pytest.mark.parametrize("r,s,n,vanishing", [
+    (2, 3, 5, set()), (2, 4, 6, set()), (3, 4, 7, set()),   # mixed
+    (0, 2, 3, _ALL_KEYS),                                   # r = 0: every block is empty
+    (2, 2, 5, {"reality"}),                                 # s = r: no V labels
+    (2, 5, 5, set()),                                       # s = n: no W labels
+    # 1 x 1 blocks commute, and the skew Sp is zero
+    (1, 2, 4, {"C1", "D5", "D6", "sym1", "sym2"}),
+])
+@pytest.mark.parametrize("d_core", [1.0, 0.01])
+def test_block_identities_match_the_per_label_loops(r, s, n, vanishing, d_core):
+    # d_core scales the D_x blocks, so that in C1 and in reality the terms
+    # without them decide the maximum as well
+    rng = np.random.default_rng([r, s, n])
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    D = cplx(n, n, n)
+    D[:r] *= d_core
+    sc = StructureConstants(cplx(n, n, n), D, validate=False)
+    S = cplx(n, n)
+    S = (S - S.T) / 2.0
+    dec = SimpleNamespace(n=n, r=r, s=s)
+    got = {**verify_bianchi_blocks(dec, sc), **verify_hs_blocks(dec, sc, S)}
+    ref = _loop_identities(sc, r, s, S)
+    assert set(got) == _ALL_KEYS
+    scale_c = max(1.0, sc.magnitude() ** 2)
+    scale_d = max(1.0, max(sc.magnitude(), _max_abs(S)) ** 2)
+    for key, chk in got.items():
+        want = ref.get(key, 0.0) / (scale_c if key.startswith("C") else scale_d)
+        if key in vanishing:
+            assert chk.residual == want == 0.0, key
+        else:
+            assert want > 0.0, key
+            assert chk.residual == pytest.approx(want, rel=1e-12), key
+            assert not chk.passed, key
