@@ -101,30 +101,6 @@ class RealLieAlgebra:
         return f"RealLieAlgebra(dim={self.dim})"
 
 
-class ComplexStructure:
-    """An almost complex structure ``J`` on R^dim, validated to square to -Identity.
-
-    Integrability is a joint property with the bracket; use
-    :func:`integrability_residual` for it.
-    """
-
-    def __init__(self, J, *, cfg: Config | None = None):
-        cfg = _cfg(cfg)
-        J = np.asarray(J, dtype=float)
-        if J.ndim != 2 or J.shape[0] != J.shape[1]:
-            raise DimensionError(f"J must be square, got shape {J.shape}")
-        if J.shape[0] % 2 != 0:
-            raise StructureError("J needs even dimension")
-        res = _max_abs(J @ J + np.eye(J.shape[0]))
-        if res > cfg.tol_alg:
-            raise StructureError(f"J^2 + Identity has residual {res:.3e}")
-        self.J = J
-        self.dim = J.shape[0]
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"ComplexStructure(dim={self.dim})"
-
-
 def integrability_residual(alg: RealLieAlgebra, J) -> float:
     """Sup norm of the Nijenhuis-type tensor
 
@@ -133,7 +109,7 @@ def integrability_residual(alg: RealLieAlgebra, J) -> float:
     over all real basis pairs.  Zero iff the (1,0) subspace is closed
     under the complexified bracket.
     """
-    J = J.J if isinstance(J, ComplexStructure) else np.asarray(J, dtype=float)
+    J = np.asarray(J, dtype=float)
     f = alg.f
     br = f
     br_JJ = np.einsum("cab,ax,by->cxy", f, J, J)
@@ -145,7 +121,7 @@ def integrability_residual(alg: RealLieAlgebra, J) -> float:
 def compatibility_residual(G, J) -> float:
     """Sup norm of J^T G J - G; zero iff the metric is J-invariant."""
     G = np.asarray(G, dtype=float)
-    J = J.J if isinstance(J, ComplexStructure) else np.asarray(J, dtype=float)
+    J = np.asarray(J, dtype=float)
     return _max_abs(J.T @ G @ J - G)
 
 
@@ -160,7 +136,7 @@ class Frame:
 
     def __init__(self, E, J, *, cfg: Config | None = None):
         cfg = _cfg(cfg)
-        J = J.J if isinstance(J, ComplexStructure) else np.asarray(J, dtype=float)
+        J = np.asarray(J, dtype=float)
         E = np.asarray(E, dtype=complex)
         if E.ndim != 2 or E.shape[0] != J.shape[0] or 2 * E.shape[1] != J.shape[0]:
             raise DimensionError(f"frame shape {E.shape} does not match dim {J.shape[0]}")
@@ -196,7 +172,7 @@ def canonical_frame(J, *, cfg: Config | None = None) -> Frame:
     reproduces the generating frame exactly.
     """
     cfg = _cfg(cfg)
-    Jm = J.J if isinstance(J, ComplexStructure) else np.asarray(J, dtype=float)
+    Jm = np.asarray(J, dtype=float)
     dim = Jm.shape[0]
     n = dim // 2
     cols: list[np.ndarray] = []

@@ -1,38 +1,40 @@
 """Instance analysis: consistency checks, classification, construction.
 
-Each run produces an :class:`AnalysisReport` holding typed records
+A command is one tuple of stages in ``STAGES``, run in order over one
+:class:`AnalysisReport`.  Each stage appends records {check_id,
+paper_ref, status, residual, details, category}, status pass / fail /
+not-applicable.  The stages follow the hypotheses of the construction:
+the input checks; the classes and the closed completion at the
+documented metric; the admissible frame, its restrictions and the block
+identities C1..C7; the closed completion at the block metric and
+D1..D8; then the construction (``analyze``, ``kahlerize``) or the
+structural claims (``verify-claims``).  ``hs`` is the input checks, then
+the closed completion and ``--search``.
 
-    {check_id, paper_ref, status, residual, details, category}
+One gate: no stage runs after a failed consistency record.  A stage
+also stops its command where the next one's hypotheses fail (not 2-step
+solvable, restriction2, no closed completion); ``kahlerize`` and
+``verify-claims`` name what did not run in one failing ``kahlerize`` or
+``claims`` record.
 
-with status one of pass / fail / not-applicable.  The category controls
-exit semantics downstream: "consistency" records assert that the input
-is what it claims to be (Jacobi, J^2 = -Identity, metric positivity,
-frame reconstruction, forced restriction shapes); "classification"
-records describe the geometry (metric classes, unimodularity,
-restriction2, feasibility, block identities, independence of the
-eigenvalue tuples) and never invalidate an input; and "construction"
-records report on what a command was asked for, so their failures mean
-the requested operation did not go through.
+Consistency records assert that the input is what it claims to be
+(Jacobi, J^2 = -Identity, metric positivity, frame reconstruction,
+forced restriction shapes).  Classification records describe the
+geometry and never invalidate an input, except those a command asks
+for (``DECIDING``), which it files as construction records: they report
+on the requested operation, and their failures fail the command.  The
+block identities follow from the compact-quotient hypotheses, not from
+the Jacobi identity alone, so a valid input may fail them; only
+``verify-claims`` asks for them.
 
-Which records a command asks for is the only per-command policy here,
-kept in ``DECIDING``: under a command, a classification record whose id
-starts with one of its prefixes is filed as a construction record.
-The block identities C1..C7 and D1..D8 stay classification records
-under ``analyze`` on purpose: they are consequences of the
-compact-quotient hypotheses, not of the Jacobi identity alone, so a
-perfectly valid input may fail them.  ``verify-claims`` asks for them.
-
-Residuals are not all normalized the same way.  The consistency
-residuals other than J^2 + Identity, and the unimodularity,
-restriction, block and claim residuals, are divided by max(1, s), with
-s the natural scale of their equation (the largest structure constant
-or metric entry, squared for quadratic identities), and
-``hs_feasible`` reports the least-squares residual over max(1, ||b||).
-The metric-class residuals ``kahler``, ``pluriclosed`` and ``balanced``
-are raw sup norms of form coefficients compared with the absolute
-``tol_alg``, so rescaling the bracket can flip them; the
-``kahlerize_closed`` residual is raw as well, against a threshold that
-is scaled.
+The consistency residuals other than J^2 + Identity, and the
+unimodularity, restriction, block and claim residuals, are divided by
+max(1, s), s the natural scale of their equation (the largest structure
+constant or metric entry, squared for quadratic identities);
+``hs_feasible`` divides by max(1, ||b||).  The ``kahler``,
+``pluriclosed``, ``balanced`` and ``kahlerize_closed`` residuals are raw
+sup norms; the first three meet the absolute ``tol_alg``, so rescaling
+the bracket can flip them, and ``kahlerize_closed`` a scaled threshold.
 """
 
 from __future__ import annotations
@@ -43,15 +45,9 @@ from typing import Any
 import numpy as np
 
 from .algebra import (
-    _max_abs,
-    canonical_frame,
-    compatibility_residual,
-    complexify_and_extract,
-    integrability_residual,
-    realify,
-    reconstruction_residual,
-    solvable_profile,
-    unimodularity_check,
+    CheckResult, Frame, RealLieAlgebra, SolvableProfile, StructureConstants, _max_abs,
+    canonical_frame, compatibility_residual, complexify_and_extract, integrability_residual,
+    realify, reconstruction_residual, solvable_profile, unimodularity_check,
 )
 from .config import Config, TOOL_VERSION, _cfg
 from .documents import AlgebraDocument
@@ -59,20 +55,12 @@ from .errors import CertificationError, ClaimViolation, PreconditionError, Struc
 from .forms import dd_residual
 from .kahler import ClaimsRecord, claims_pipeline, kahlerize
 from .metrics import (
-    balanced_check,
-    frame_metric_from_real,
-    hs_decide,
-    hs_metric_search,
-    hs_residual_of,
-    kahler_check,
-    pluriclosed_check,
+    HSSolution, balanced_check, frame_metric_from_real, hs_decide, hs_metric_search,
+    hs_residual_of, kahler_check, pluriclosed_check,
 )
 from .solvable import (
-    admissible_from_frame,
-    build_admissible_frame,
-    verify_bianchi_blocks,
-    verify_hs_blocks,
-    verify_restrictions,
+    AdmissibleDecomposition, admissible_from_frame, build_admissible_frame,
+    verify_bianchi_blocks, verify_hs_blocks, verify_restrictions,
 )
 
 _KAHLERIZE_REF = "it must admit a (left-invariant) Kähler metric"
@@ -249,15 +237,40 @@ def _matrix_lines(M) -> list[str]:
     return [_vector_line(row) for row in M]
 
 
-# ------------------------------------------------------------- the pipeline
+# --------------------------------------------------------------- the stages
 
 
-def _checked_input(doc: AlgebraDocument, cfg: Config, command: str) -> tuple[AnalysisReport, dict]:
-    """A new report holding the input checks, Jacobi through the
-    structure equation, and the context the later stages read."""
-    rep = AnalysisReport(name=doc.name, mode=doc.mode, command=command, config=cfg.as_dict())
-    ctx: dict[str, Any] = {"blocked": ("input fails consistency checks", None)}
+@dataclass
+class _Run:
+    """What the stages of one command share: the input, the report, and
+    what each stage builds for the stages after it."""
 
+    doc: AlgebraDocument
+    cfg: Config
+    rep: AnalysisReport
+    search: tuple[int, int] | None = None  # hs --search: (restarts, budget)
+    alg: RealLieAlgebra | None = None
+    J: np.ndarray | None = None
+    G: np.ndarray | None = None
+    frame: Frame | None = None
+    sc: StructureConstants | None = None
+    g: np.ndarray | None = None
+    profile: SolvableProfile | None = None
+    dec: AdmissibleDecomposition | None = None
+    sc_adm: StructureConstants | None = None
+    restriction2: CheckResult | None = None
+    hs_adm: HSSolution | None = None
+
+
+# A stage appends its records to the report and fills in the run.  It
+# returns None, or why the stages after it cannot run as (details,
+# residual); the stages after a failed consistency record never run.
+_Why = tuple[str, float | None] | None
+
+
+def _input(run: _Run) -> _Why:
+    """The input checks, Jacobi through the structure equation."""
+    doc, cfg, rep = run.doc, run.cfg, run.rep
     if doc.mode == "real":
         alg, J, G = doc.build_real(cfg=cfg, validate=False)
         m = max(1.0, _max_abs(alg.f))
@@ -279,13 +292,12 @@ def _checked_input(doc: AlgebraDocument, cfg: Config, command: str) -> tuple[Ana
         rep.add("integrability", "the integrability condition", integ <= cfg.tol_alg, integ)
         if rep.failed():
             rep.verdict = "input is not a consistent Hermitian instance"
-            return rep, ctx
+            return None
         frame = canonical_frame(J, cfg=cfg)
         sc = complexify_and_extract(alg, J, frame, cfg=cfg, validate=False)
         g = frame_metric_from_real(G, frame, cfg=cfg).g
         recon = reconstruction_residual(alg, frame, sc) / m
         rep.add("reconstruction", "plumbing", recon <= cfg.tol_alg, recon)
-        ctx["native_frame"] = False
     else:
         sc, g, S_doc = doc.build_complex(cfg=cfg, validate=False)
         gs = max(1.0, _max_abs(g))
@@ -298,7 +310,7 @@ def _checked_input(doc: AlgebraDocument, cfg: Config, command: str) -> tuple[Ana
         )
         if rep.failed():
             rep.verdict = "input is not a consistent Hermitian instance"
-            return rep, ctx
+            return None
         alg, J, G, frame = realify(sc.C, sc.D, g, cfg=cfg, validate=False)
         integ = integrability_residual(alg, J) / max(1.0, sc.magnitude())
         rep.add("integrability", "the integrability condition", integ <= cfg.tol_alg, integ)
@@ -310,7 +322,6 @@ def _checked_input(doc: AlgebraDocument, cfg: Config, command: str) -> tuple[Ana
                 sres / sscale <= cfg.tol_feas, sres / sscale,
                 details="the document's S against the closed-completion system",
             )
-        ctx["native_frame"] = True
 
     # two independent routes to the same identity: index sums and d on the
     # coframe; neither is derived from the other in code
@@ -325,7 +336,7 @@ def _checked_input(doc: AlgebraDocument, cfg: Config, command: str) -> tuple[Ana
     )
     dd = dd_residual(sc) / scale2
     rep.add("dd_closure", "the (first) structure equation", dd <= cfg.tol_jacobi, dd)
-    ctx.update(alg=alg, J=J, G=G, frame=frame, sc=sc, g=g)
+    run.alg, run.J, run.G, run.frame, run.sc, run.g = alg, J, G, frame, sc, g
     failed = {r.check_id for r in rep.failed()}
     if failed & {"bianchi_families", "dd_closure"}:
         rep.verdict = "structure constants do not define a Lie algebra"
@@ -333,20 +344,19 @@ def _checked_input(doc: AlgebraDocument, cfg: Config, command: str) -> tuple[Ana
         rep.verdict = "input is not a consistent Hermitian instance"
     elif failed:
         rep.verdict = "the document's S is not a closed completion"
-    return rep, ctx
 
 
-def _hs_feasible(rep: AnalysisReport, sc, g, cfg: Config):
+def _hs_feasible(run: _Run) -> HSSolution:
     """Decide the closed completion at the documented metric: the
     ``hs_feasible`` record and the report's ``hs`` section."""
-    sol = hs_decide(sc, g, cfg=cfg)
-    rep.add(
+    sol = hs_decide(run.sc, run.g, cfg=run.cfg)
+    run.rep.add(
         "hs_feasible", "there exists a skew-symmetric matrix",
         sol.feasible, sol.normalized,
         details=f"lstsq residual {sol.residual:.3e}, rhs norm {sol.b_norm:.3e}",
         category="classification",
     )
-    rep.hs = {
+    run.rep.hs = {
         "feasible": sol.feasible,
         "normalized_residual": sol.normalized,
         "lstsq_residual": sol.residual,
@@ -356,27 +366,21 @@ def _hs_feasible(rep: AnalysisReport, sc, g, cfg: Config):
     return sol
 
 
-def _pipeline(doc: AlgebraDocument, cfg: Config, command: str) -> tuple[AnalysisReport, dict]:
-    """The input checks, the classification, and on 2-step solvable
-    input the admissible frame with its restrictions and block
-    identities.  ``ctx["blocked"]`` is None when the Kähler construction
-    can run, else why not, as (details, residual)."""
-    rep, ctx = _checked_input(doc, cfg, command)
-    if not rep.consistent():
-        return rep, ctx
-    alg, J, G, frame, sc, g = (ctx[k] for k in ("alg", "J", "G", "frame", "sc", "g"))
-
+def _classes(run: _Run) -> _Why:
+    """Unimodularity, the derived series, and the metric classes and the
+    closed completion at the documented metric."""
+    rep, cfg, sc, g = run.rep, run.cfg, run.sc, run.g
     uni = unimodularity_check(sc, cfg=cfg)
     rep.add("unimodularity", "is unimodular", uni.passed, uni.residual, category="classification")
 
-    profile = solvable_profile(alg, cfg=cfg)
+    run.profile = profile = solvable_profile(run.alg, cfg=cfg)
     rep.add(
         "two_step", "its commutator is abelian",
         profile.is_2step_solvable, None,
         details=f"derived series dims {profile.dims}", category="classification",
     )
     rep.profile = {
-        "dim_real": alg.dim,
+        "dim_real": run.alg.dim,
         "n": sc.n,
         "derived_dims": list(profile.dims),
         "two_step": profile.is_2step_solvable,
@@ -388,96 +392,89 @@ def _pipeline(doc: AlgebraDocument, cfg: Config, command: str) -> tuple[Analysis
     bal = balanced_check(sc, g, cfg=cfg)
     rep.add("kahler", "is Kähler", kah.passed, kah.residual, category="classification")
     rep.add("pluriclosed", "it is pluriclosed", plu.passed, plu.residual, category="classification")
-    rep.add(
-        "balanced", "d(omega^(n-1)) = 0", bal.passed, bal.residual, category="classification"
-    )
-    sol = _hs_feasible(rep, sc, g, cfg)
+    rep.add("balanced", "d(omega^(n-1)) = 0", bal.passed, bal.residual, category="classification")
+    sol = _hs_feasible(run)
     rep.classes = {
         "kahler": kah.passed,
         "pluriclosed": plu.passed,
         "balanced": bal.passed,
         "hermitian_symplectic": sol.feasible,
     }
+    rep.verdict = _verdict(rep.classes)
 
-    restriction2_failed = False
-    if profile.is_2step_solvable:
-        ctx["blocked"] = ("admissible frame unavailable", None)
-        dec = None
-        try:
-            if ctx["native_frame"]:
-                # the document's own frame might already be admissible; keeping
-                # it preserves hand-chosen block bases (and the generator's
-                # eigenvector phases), so try it before rebuilding
-                try:
-                    dec = admissible_from_frame(alg, J, G, frame, cfg=cfg)
-                    sc_adm = sc
-                except StructureError:
-                    dec = None
-            if dec is None:
-                dec = build_admissible_frame(alg, J, G, cfg=cfg)
-                sc_adm = complexify_and_extract(alg, J, dec.frame, cfg=cfg, validate=False)
-        except (StructureError, PreconditionError) as e:
-            rep.add("admissible_frame", "said to be admissible", False, None, details=str(e))
-        if dec is not None:
-            rep.profile["admissible"] = {
-                "r": dec.r, "s": dec.s, "n": dec.n, "type": dec.pure_type,
-            }
-            restr = verify_restrictions(dec, sc_adm, cfg=cfg)
-            r1, r2 = restr["restriction1"], restr["restriction2"]
-            rep.add("restriction1", "satisfy the following restrictions", r1.passed, r1.residual)
-            rep.add(
-                "restriction2", "the structure constants satisfy",
-                r2.passed, r2.residual,
-                details="" if r2.passed else "no compact HS quotient possible",
-                category="classification",
-            )
-            restriction2_failed = not r2.passed
-            for key, chk in verify_bianchi_blocks(dec, sc_adm, cfg=cfg).items():
-                rep.add(
-                    f"block_{key}", "for any r+1 <= x, y, z <= n",
-                    chk.passed, chk.residual, category="classification",
-                )
-            sol_adm = hs_decide(sc_adm, dec.metric, cfg=cfg)
-            ctx.update(dec=dec, sc_adm=sc_adm, hs_adm=sol_adm, blocked=None)
-            if sol_adm.feasible:
-                for key, chk in verify_hs_blocks(dec, sc_adm, sol_adm.S, cfg=cfg).items():
-                    rep.add(
-                        f"block_{key}", "so that the following hold",
-                        chk.passed, chk.residual, category="classification",
-                    )
-            else:
-                ctx["blocked"] = ("no closed completion at this metric", sol_adm.normalized)
-                rep.add(
-                    "block_D", "so that the following hold", None, None,
-                    details="no closed completion at this metric", category="classification",
-                )
-            if restriction2_failed:
-                why = "restriction2 fails: no compact HS quotient, the construction does not apply"
-                ctx["blocked"] = (why, r2.residual)
-    else:
-        ctx["blocked"] = ("not 2-step solvable", None)
+
+def _verdict(classes: dict) -> str:
+    if classes["kahler"]:
+        return "Kähler"
+    parts = [k for k in ("pluriclosed", "balanced") if classes[k]] or ["non-pluriclosed"]
+    hs_bit = "HS-compatible" if classes["hermitian_symplectic"] else "not HS-compatible"
+    return ", ".join(parts + [hs_bit])
+
+
+def _admissible(run: _Run) -> _Why:
+    """The admissible frame of 2-step solvable input, its restrictions,
+    and the block identities C1..C7."""
+    rep, cfg = run.rep, run.cfg
+    if not run.profile.is_2step_solvable:
         rep.add(
             "admissible_frame", "said to be admissible", None, None,
             details="not 2-step solvable", category="classification",
         )
+        return "not 2-step solvable", None
+    alg, J, G = run.alg, run.J, run.G
+    dec = None
+    try:
+        if run.doc.mode == "complex":
+            # the document's own frame might already be admissible; keeping
+            # it preserves hand-chosen block bases (and the generator's
+            # eigenvector phases), so try it before rebuilding
+            try:
+                dec, sc_adm = admissible_from_frame(alg, J, G, run.frame, cfg=cfg), run.sc
+            except StructureError:
+                pass
+        if dec is None:
+            dec = build_admissible_frame(alg, J, G, cfg=cfg)
+            sc_adm = complexify_and_extract(alg, J, dec.frame, cfg=cfg, validate=False)
+    except (StructureError, PreconditionError) as e:
+        # a consistency record: no stage runs after it
+        rep.add("admissible_frame", "said to be admissible", False, None, details=str(e))
+        return None
+    run.dec, run.sc_adm = dec, sc_adm
+    rep.profile["admissible"] = {"r": dec.r, "s": dec.s, "n": dec.n, "type": dec.pure_type}
+    restr = verify_restrictions(dec, sc_adm, cfg=cfg)
+    r1 = restr["restriction1"]
+    run.restriction2 = r2 = restr["restriction2"]
+    rep.add("restriction1", "satisfy the following restrictions", r1.passed, r1.residual)
+    rep.add(
+        "restriction2", "the structure constants satisfy",
+        r2.passed, r2.residual,
+        details="" if r2.passed else "no compact HS quotient possible",
+        category="classification",
+    )
+    if not r2.passed and not rep.classes["kahler"]:
+        rep.verdict += " (restriction2 fails)"
+    for key, chk in verify_bianchi_blocks(dec, sc_adm, cfg=cfg).items():
+        rep.add(
+            f"block_{key}", "for any r+1 <= x, y, z <= n",
+            chk.passed, chk.residual, category="classification",
+        )
 
-    rep.verdict = _verdict(rep.classes, restriction2_failed)
-    return rep, ctx
 
-
-def _verdict(classes: dict, restriction2_failed: bool) -> str:
-    if classes.get("kahler"):
-        return "Kähler"
-    parts = [k for k in ("pluriclosed", "balanced") if classes.get(k)]
-    if not parts:
-        parts = ["non-pluriclosed"]
-    hs_bit = "HS-compatible" if classes.get("hermitian_symplectic") else "not HS-compatible"
-    if restriction2_failed:
-        hs_bit += " (restriction2 fails)"
-    return ", ".join(parts + [hs_bit])
-
-
-# ----------------------------------------------------- claims + certificate
+def _completion(run: _Run) -> _Why:
+    """The closed completion at the block metric and, when there is one,
+    the block identities D1..D8 it must satisfy."""
+    run.hs_adm = sol = hs_decide(run.sc_adm, run.dec.metric, cfg=run.cfg)
+    if not sol.feasible:
+        run.rep.add(
+            "block_D", "so that the following hold", None, None,
+            details="no closed completion at this metric", category="classification",
+        )
+        return None
+    for key, chk in verify_hs_blocks(run.dec, run.sc_adm, sol.S, cfg=run.cfg).items():
+        run.rep.add(
+            f"block_{key}", "so that the following hold",
+            chk.passed, chk.residual, category="classification",
+        )
 
 
 _CLAIM_ROWS = (
@@ -504,20 +501,45 @@ def _claim_records(rep: AnalysisReport, claims: ClaimsRecord | ClaimViolation) -
             rep.add(cid, ref, chk.passed, chk.residual, category="classification")
 
 
-def _certify(rep: AnalysisReport, ctx: dict, cfg: Config) -> bool:
-    """Run the claims + construction stage on the admissible-frame data
-    in ``ctx`` and append its records; True when the certificate closes
-    and is positive."""
-    dec, sc_adm, sol = ctx["dec"], ctx["sc_adm"], ctx["hs_adm"]
+def _claims(run: _Run) -> _Why:
+    """The structural claims on the closed completion at the block metric."""
+    rep, sol = run.rep, run.hs_adm
+    if not sol.feasible:
+        return "no closed completion at this metric", sol.normalized
     try:
-        cert = kahlerize(dec, sc_adm, sol.S, cfg=cfg, strict=False)
+        rec = claims_pipeline(run.dec, run.sc_adm, sol.S, cfg=run.cfg)
     except ClaimViolation as e:
         _claim_records(rep, e)
+        return None
+    except StructureError as e:
+        return str(e), None
+    _claim_records(rep, rec)
+    rep.extras["claims"] = {
+        k: getattr(rec, k)
+        for k in ("lam", "xi", "p", "rotation", "p_residual", "t_ratio", "t_independent")
+    }
+
+
+def _construct(run: _Run) -> _Why:
+    """The Kähler construction and its certificate wherever its
+    hypotheses hold; ``analyze`` passes over Kähler input, which needs
+    none."""
+    r2, sol = run.restriction2, run.hs_adm
+    if not r2.passed:
+        why = "restriction2 fails: no compact HS quotient, the construction does not apply"
+        return why, r2.residual
+    if not sol.feasible:
+        return "no closed completion at this metric", sol.normalized
+    rep, cfg = run.rep, run.cfg
+    if rep.command == "analyze" and rep.classes["kahler"]:
+        return None
+    try:
+        cert = kahlerize(run.dec, run.sc_adm, sol.S, cfg=cfg, strict=False)
+    except (ClaimViolation, StructureError, PreconditionError, CertificationError) as e:
+        if isinstance(e, ClaimViolation):
+            _claim_records(rep, e)
         rep.add("kahlerize", _KAHLERIZE_REF, False, None, details=str(e), category="classification")
-        return False
-    except (StructureError, PreconditionError, CertificationError) as e:
-        rep.add("kahlerize", _KAHLERIZE_REF, False, None, details=str(e), category="classification")
-        return False
+        return None
     _claim_records(rep, cert.claims)
     # a property of the model family, not a hypothesis of the construction:
     # rho(x) = i(pi/2) Id on C^2 with the lattice Z[i]^2 is a compact Kahler
@@ -540,14 +562,7 @@ def _certify(rep: AnalysisReport, ctx: dict, cfg: Config) -> bool:
         details=f"min eigenvalue {cert.min_eig:.6g}", category="classification",
     )
     rep.extras["certificate"] = {
-        "r": cert.r,
-        "s": cert.s,
-        "n": cert.n,
-        "rotation": cert.rotation,
-        "lam": cert.lam,
-        "p": cert.p,
-        "xi": cert.xi,
-        "psi_coeffs": cert.psi_coeffs,
+        **{k: getattr(cert, k) for k in ("r", "s", "n", "rotation", "lam", "p", "xi", "psi_coeffs")},
         "t_independent": cert.claims.t_independent,
         "residuals": cert.residuals,
         "termwise_residuals": list(cert.termwise_residuals),
@@ -562,33 +577,80 @@ def _certify(rep: AnalysisReport, ctx: dict, cfg: Config) -> bool:
             for f in cert.psi
         ],
     }
-    return closed_ok and cert.positive
+    if closed_ok and cert.positive:
+        rep.verdict += "; Kähler metric constructed"
+
+
+def _hs(run: _Run) -> _Why:
+    """The closed completion at the documented metric and, under
+    ``--search``, the metric search where there is none."""
+    rep = run.rep
+    sol = _hs_feasible(run)
+    rep.verdict = ("closed completion exists at this metric" if sol.feasible
+                   else "no closed completion at this metric")
+    if run.search is None:
+        return None
+    if sol.feasible:
+        rep.add(
+            "hs_search", "it suffices to consider invariant metrics", None, None,
+            details="already feasible at the documented metric", category="classification",
+        )
+        return None
+    restarts, budget = run.search
+    result = hs_metric_search(run.sc, restarts=restarts, budget=budget, seed=run.cfg.seed, cfg=run.cfg)
+    rep.add(
+        "hs_search", "it suffices to consider invariant metrics",
+        result.found, result.best_residual,
+        details=f"{result.evals} objective evaluations", category="classification",
+    )
+    rep.extras["hs_search"] = {
+        "found": result.found,
+        "best_residual": result.best_residual,
+        "evals": result.evals,
+        "g": result.best_g,
+        "S": result.S,
+    }
+    if result.found:
+        rep.verdict += "; a different invariant metric admits one"
 
 
 # ------------------------------------------------------------ entry points
 
 
-def _construct(doc: AlgebraDocument, cfg: Config | None, command: str) -> AnalysisReport:
-    """The pipeline, then the Kähler construction wherever its hypotheses
-    hold.  ``kahlerize`` asks for the construction, so there a blocked
-    one is a failing ``kahlerize`` record; ``analyze`` passes over it in
-    silence, and over Kähler input, which needs no construction."""
+_CHAIN = (_input, _classes, _admissible, _completion)
+STAGES = {
+    "analyze": (*_CHAIN, _construct),
+    "hs": (_input, _hs),
+    "kahlerize": (*_CHAIN, _construct),
+    "verify-claims": (*_CHAIN, _claims),
+}
+
+# The record naming what a command could not run; ``analyze`` and ``hs``
+# name nothing.
+_UNRUN = {"kahlerize": ("kahlerize", _KAHLERIZE_REF), "verify-claims": ("claims", "plumbing")}
+
+
+def _execute(doc: AlgebraDocument, cfg: Config | None, command: str,
+             search: tuple[int, int] | None = None) -> AnalysisReport:
+    """Run the command's stages in order, up to the first that cannot run."""
     cfg = _cfg(cfg)
-    rep, ctx = _pipeline(doc, cfg, command)
-    if ctx["blocked"] is not None:
-        if command == "kahlerize":
-            why, residual = ctx["blocked"]
-            rep.add("kahlerize", _KAHLERIZE_REF, False, residual, details=why,
-                    category="classification")
-    elif (command == "kahlerize" or not rep.classes["kahler"]) and _certify(rep, ctx, cfg):
-        rep.verdict += "; Kähler metric constructed"
+    rep = AnalysisReport(name=doc.name, mode=doc.mode, command=command, config=cfg.as_dict())
+    run = _Run(doc, cfg, rep, search)
+    for stage in STAGES[command]:
+        why = stage(run) if rep.consistent() else ("input fails consistency checks", None)
+        if why is not None:
+            if command in _UNRUN:
+                details, residual = why
+                rep.add(*_UNRUN[command], False, residual, details=details,
+                        category="classification")
+            break
     return rep
 
 
 def run_analysis(doc: AlgebraDocument, *, cfg: Config | None = None) -> AnalysisReport:
     """Full consistency + classification pass over one instance,
     including the constructive step whenever its hypotheses hold."""
-    return _construct(doc, cfg, "analyze")
+    return _execute(doc, cfg, "analyze")
 
 
 def run_hs(
@@ -605,86 +667,17 @@ def run_hs(
     makes the command fail.  The optional metric search reports
     empirical evidence only.
     """
-    cfg = _cfg(cfg)
-    rep, ctx = _checked_input(doc, cfg, "hs")
-    if not rep.consistent():
-        return rep
-    sol = _hs_feasible(rep, ctx["sc"], ctx["g"], cfg)
-    rep.verdict = (
-        "closed completion exists at this metric"
-        if sol.feasible
-        else "no closed completion at this metric"
-    )
-    if search:
-        if sol.feasible:
-            rep.add(
-                "hs_search", "it suffices to consider invariant metrics", None, None,
-                details="already feasible at the documented metric", category="classification",
-            )
-        else:
-            result = hs_metric_search(
-                ctx["sc"], restarts=restarts, budget=budget, seed=cfg.seed, cfg=cfg
-            )
-            rep.add(
-                "hs_search", "it suffices to consider invariant metrics",
-                result.found, result.best_residual,
-                details=f"{result.evals} objective evaluations", category="classification",
-            )
-            rep.extras["hs_search"] = {
-                "found": result.found,
-                "best_residual": result.best_residual,
-                "evals": result.evals,
-                "g": result.best_g,
-                "S": result.S,
-            }
-            if result.found:
-                rep.verdict += "; a different invariant metric admits one"
-    return rep
+    return _execute(doc, cfg, "hs", (restarts, budget) if search else None)
 
 
 def run_verify_claims(doc: AlgebraDocument, *, cfg: Config | None = None) -> AnalysisReport:
     """The identity tables C1..C7 and D1..D8 plus the structural claims;
     unavailable preconditions surface as failed records, not exceptions."""
-    cfg = _cfg(cfg)
-    rep, ctx = _pipeline(doc, cfg, "verify-claims")
-    dec = ctx.get("dec")
-    if dec is None:
-        rep.add(
-            "claims", "plumbing", False, None,
-            details="needs a 2-step solvable instance with an admissible frame",
-            category="classification",
-        )
-        return rep
-    sol = ctx["hs_adm"]
-    if not sol.feasible:
-        rep.add(
-            "claims", "plumbing", False, sol.normalized,
-            details="no closed completion at this metric", category="classification",
-        )
-        return rep
-    try:
-        rec = claims_pipeline(dec, ctx["sc_adm"], sol.S, cfg=cfg)
-    except ClaimViolation as e:
-        _claim_records(rep, e)
-        return rep
-    except StructureError as e:
-        rep.add("claims", "plumbing", False, None, details=str(e), category="classification")
-        return rep
-    _claim_records(rep, rec)
-    rep.extras["claims"] = {
-        "lam": rec.lam,
-        "xi": rec.xi,
-        "p": rec.p,
-        "rotation": rec.rotation,
-        "p_residual": rec.p_residual,
-        "t_ratio": rec.t_ratio,
-        "t_independent": rec.t_independent,
-    }
-    return rep
+    return _execute(doc, cfg, "verify-claims")
 
 
 def run_kahlerize(doc: AlgebraDocument, *, cfg: Config | None = None) -> AnalysisReport:
     """The constructive closed-positive completion, gated the way the
     underlying statement is: 2-step solvable, the compact-quotient
     restriction, and a closed completion at the block metric."""
-    return _construct(doc, cfg, "kahlerize")
+    return _execute(doc, cfg, "kahlerize")

@@ -51,6 +51,19 @@ from .kahler import generate_family
 _CONFIG_FLAGS = ("tol_alg", "tol_feas", "tol_cert", "seed")
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return parse
+
+
 @functools.cache  # parsing leaves the parser unchanged, so every call can share it
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
@@ -60,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="feasibility tolerance for the linear system")
     shared.add_argument("--tol-cert", type=float, default=None, metavar="T",
                         help="certificate closure tolerance")
-    shared.add_argument("--seed", type=int, default=None, metavar="K",
+    shared.add_argument("--seed", type=_at_least(0), default=None, metavar="K",
                         help="seed for anything randomized")
     shared.add_argument("--config", metavar="FILE", default=None,
                         help="JSON file with tolerance/seed overrides (flags win)")
@@ -85,8 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     hs = with_file("hs", "closed-completion feasibility at the documented metric")
     hs.add_argument("--search", action="store_true",
                     help="when infeasible, search over invariant metrics")
-    hs.add_argument("--restarts", type=int, default=6, help="search restarts")
-    hs.add_argument("--budget", type=int, default=500,
+    hs.add_argument("--restarts", type=_at_least(1), default=6, help="search restarts")
+    hs.add_argument("--budget", type=_at_least(1), default=500,
                     help="objective evaluations per restart")
     with_file("kahlerize", "construct and certify the closed positive completion")
     with_file("verify-claims", "identity tables and structural claims")
@@ -129,6 +142,8 @@ def _load_config(args: argparse.Namespace) -> Config:
         for k, v in data.items():
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ValidationError(f"config key {k} must be a number")
+            if k == "seed" and not (isinstance(v, int) and v >= 0):
+                raise ValidationError(f"config key seed must be a non-negative integer, got {v}")
         cfg = replace(cfg, **data)
     overrides = {k: getattr(args, k) for k in _CONFIG_FLAGS if getattr(args, k, None) is not None}
     return replace(cfg, **overrides) if overrides else cfg

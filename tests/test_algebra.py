@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hskahler import (
-    ComplexStructure,
     DimensionError,
     Frame,
     RankError,
@@ -69,19 +68,6 @@ def test_structure_tensor_shape_errors():
         RealLieAlgebra(np.zeros((2, 3, 2)))
     with pytest.raises(DimensionError):
         RealLieAlgebra(np.zeros((2, 2)))
-
-
-def test_complex_structure_validation():
-    J = np.zeros((4, 4))
-    J[1, 0] = 1.0
-    J[0, 1] = -1.0
-    J[3, 2] = 1.0
-    J[2, 3] = -1.0
-    ComplexStructure(J)
-    with pytest.raises(StructureError):
-        ComplexStructure(np.eye(4))
-    with pytest.raises(StructureError):
-        ComplexStructure(np.zeros((3, 3)))
 
 
 def test_integrability_standard_vs_mispaired():

@@ -248,6 +248,109 @@ def test_verify_claims_needs_a_completion(capsys):
     assert "no closed completion" in gate["details"]
 
 
+# ----------------------------------------------------------------- the gate
+
+
+@pytest.fixture(scope="module")
+def edge_docs(tmp_path_factory):
+    """Documents at the edges of the stage chain: failed input checks, a
+    rank cut at the scale floor, and an algebra that is not solvable."""
+    root = tmp_path_factory.mktemp("edge")
+    fam = generate_family(1, 3, seed=3)
+    D = fam.sc.D.copy()
+    D[2, 0, 1] += 0.5
+    iwasawa = np.zeros((3, 3, 3), dtype=complex)  # C^3_12 = -1
+    iwasawa[2, 0, 1], iwasawa[2, 1, 0] = -1.0, 1.0
+    docs = {
+        "bad_metric": (fam.sc.C, fam.sc.D, -np.eye(3), None),
+        "bianchi_violator": (fam.sc.C, D, fam.g, None),
+        "shifted_S": (fam.sc.C, fam.sc.D, fam.g, fam.S + 0.3),
+        "iwasawa_1e-5": (1e-5 * iwasawa, np.zeros_like(iwasawa), None, None),
+        "iwasawa_1e-8": (1e-8 * iwasawa, np.zeros_like(iwasawa), None, None),
+    }
+    paths = {}
+    for name, (C, D, g, S) in docs.items():
+        paths[name] = str(root / f"{name}.json")
+        AlgebraDocument.from_complex(name, C, D, g=g, S=S).save(paths[name])
+    # u(2) = su(2) + R with the Hopf structure: solvable it is not
+    f = np.zeros((4, 4, 4))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        f[k, i, j], f[k, j, i] = 1.0, -1.0
+    J = np.zeros((4, 4))
+    J[1, 0], J[0, 1], J[3, 2], J[2, 3] = 1.0, -1.0, 1.0, -1.0
+    paths["u2"] = str(root / "u2.json")
+    AlgebraDocument.from_real("u2", f, J, np.eye(4)).save(paths["u2"])
+    J[0, 1] = -2.0  # J^2 != -Identity
+    paths["bad_J"] = str(root / "bad_J.json")
+    AlgebraDocument.from_real("bad_J", f, J, np.eye(4)).save(paths["bad_J"])
+    return paths
+
+
+def _failed_consistency(rep):
+    return [r["check_id"] for r in rep["records"]
+            if r["status"] == "fail" and r["category"] == "consistency"]
+
+
+def test_no_stage_runs_after_a_failed_consistency_record(capsys, edge_docs):
+    """Iwasawa scaled by 1e-8 admits no HS structure at any metric, but
+    its rank cuts read it as abelian, so restriction1 fails.  Neither the
+    closed completion at the block metric nor the construction runs."""
+    unrun = ("t_independence", "kahlerize_closed", "kahlerize_positive", "block_D1")
+    # kahlerize and verify-claims name what did not run, once, at the end
+    for command, named in (("analyze", None), ("kahlerize", "kahlerize"),
+                           ("verify-claims", "claims")):
+        code, rep = _run_json(capsys, command, edge_docs["iwasawa_1e-8"])
+        assert code == 1, command
+        assert _failed_consistency(rep) == ["restriction1"], command
+        assert "Kähler metric constructed" not in rep["verdict"], command
+        ids = [r["check_id"] for r in rep["records"]]
+        assert not [i for i in ids if i.startswith("claim_") or i in unrun], command
+        assert "certificate" not in rep["extras"] and "claims" not in rep["extras"]
+        if named:
+            assert ids.count(named) == 1 and ids[-1] == named, command
+            last = rep["records"][-1]
+            assert last["status"] == "fail" and last["category"] == "construction"
+            assert last["details"] == "input fails consistency checks"
+
+
+@pytest.mark.parametrize("name, why", [
+    ("bad_metric", "input fails consistency checks"),
+    ("bianchi_violator", "input fails consistency checks"),
+    ("bad_J", "input fails consistency checks"),
+    ("u2", "not 2-step solvable"),
+])
+def test_kahlerize_and_verify_claims_name_the_same_reason(capsys, edge_docs, name, why):
+    for command, cid in (("kahlerize", "kahlerize"), ("verify-claims", "claims")):
+        code, rep = _run_json(capsys, command, edge_docs[name])
+        assert code == 1
+        gate = _record(rep, cid)
+        assert gate["status"] == "fail" and gate["details"] == why, command
+
+
+def test_a_J_that_does_not_square_to_minus_one_fails_the_input_checks(capsys, edge_docs):
+    code, rep = _run_json(capsys, "analyze", edge_docs["bad_J"])
+    assert code == 1
+    assert "complex_structure" in _failed_consistency(rep)
+    assert rep["verdict"] == "input is not a consistent Hermitian instance"
+
+
+def test_constructed_only_where_the_report_allows_it(capsys, edge_docs):
+    """A verdict that says "constructed" has no failed consistency record,
+    and under kahlerize it exits 0, on every command and document."""
+    from importlib import resources
+
+    catalog = sorted(p.name for p in resources.files("hskahler").joinpath("catalog").iterdir())
+    constructed = 0
+    for doc in [*catalog, *edge_docs.values()]:
+        for argv in (["analyze"], ["hs"], ["hs", "--search"], ["kahlerize"], ["verify-claims"]):
+            code, rep = _run_json(capsys, argv[0], doc, *argv[1:])
+            if "constructed" in rep["verdict"]:
+                constructed += 1
+                assert not _failed_consistency(rep), (argv, doc)
+                assert argv[0] != "kahlerize" or code == 0, doc
+    assert constructed >= 4  # the family documents, under analyze and kahlerize
+
+
 # ----------------------------------------------------------------- generate
 
 
@@ -415,6 +518,38 @@ def test_config_file_validation(capsys, tmp_path):
     bad.write_text("{broken")
     assert run_command(["analyze", "torus", "--config", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--restarts", "0"), ("--restarts", "-1"), ("--budget", "0"), ("--seed", "-1"), ("--seed", "1.5"),
+])
+def test_search_and_seed_flags_are_validated(capsys, flag, value):
+    code = run_command(["hs", "kodaira_thurston", "--search", flag, value, "--json-only"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert flag in captured.err
+
+
+def test_search_report_is_strict_json(capsys):
+    """RFC 8259 has no Infinity: a search that ran reports finite numbers."""
+    code = run_command(
+        ["hs", "kodaira_thurston", "--search", "--restarts", "1", "--budget", "20", "--json-only"]
+    )
+    assert code == 1
+    rep = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert rep["extras"]["hs_search"]["evals"] > 0
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True])
+def test_config_seed_must_be_a_non_negative_integer(capsys, tmp_path, seed):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": seed}))
+    for argv in (["hs", "kodaira_thurston", "--search"],
+                 ["generate", "--r", "1", "--n", "3", "-o", str(tmp_path / "x.json")]):
+        assert run_command([*argv, "--config", str(cfg), "--json-only"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed" in captured.err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_report_file_output(capsys, tmp_path):
