@@ -35,6 +35,10 @@ constant or metric entry, squared for quadratic identities);
 ``pluriclosed``, ``balanced`` and ``kahlerize_closed`` residuals are raw
 sup norms; the first three meet the absolute ``tol_alg``, so rescaling
 the bracket can flip them, and ``kahlerize_closed`` a scaled threshold.
+One linear map, :func:`hskahler.metrics.d_omega`, gives the ``kahler``
+residual, the HS right-hand side b(g) and ``kahlerize_closed``, which
+is measured, like ``kahlerize_positive``, on the certificate's metric
+in the document's own frame against the document's own constants.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .forms import dd_residual
 from .kahler import ClaimsRecord, claims_pipeline, kahlerize
 from .metrics import (
     HSSolution, balanced_check, frame_metric_from_real, hs_decide, hs_metric_search,
-    hs_residual_of, kahler_check, pluriclosed_check,
+    hs_residual_of, kahler_check, pluriclosed_check, real_metric,
 )
 from .solvable import (
     AdmissibleDecomposition, admissible_from_frame, build_admissible_frame,
@@ -534,7 +538,8 @@ def _construct(run: _Run) -> _Why:
     if rep.command == "analyze" and rep.classes["kahler"]:
         return None
     try:
-        cert = kahlerize(run.dec, run.sc_adm, sol.S, cfg=cfg, strict=False)
+        cert = kahlerize(run.dec, run.sc_adm, sol.S, cfg=cfg, strict=False,
+                         target=(run.frame, run.sc))
     except (ClaimViolation, StructureError, PreconditionError, CertificationError) as e:
         if isinstance(e, ClaimViolation):
             _claim_records(rep, e)
@@ -550,10 +555,8 @@ def _construct(run: _Run) -> _Why:
         details="smallest relative singular value of the eigenvalue tuples",
         category="classification",
     )
-    d_res = cert.residuals["d_omega_tilde"]
-    closed_ok = d_res <= cfg.tol_cert * max(1.0, cert.sc_rotated.magnitude())
     rep.add(
-        "kahlerize_closed", "d omega-tilde = 0", closed_ok, d_res,
+        "kahlerize_closed", "d omega-tilde = 0", cert.closed, cert.residuals["d_omega_tilde"],
         details=" ".join(f"{t:.2e}" for t in cert.termwise_residuals) or "no terms",
         category="classification",
     )
@@ -562,22 +565,16 @@ def _construct(run: _Run) -> _Why:
         details=f"min eigenvalue {cert.min_eig:.6g}", category="classification",
     )
     rep.extras["certificate"] = {
-        **{k: getattr(cert, k) for k in ("r", "s", "n", "rotation", "lam", "p", "xi", "psi_coeffs")},
+        **{k: getattr(cert, k) for k in ("r", "s", "n", "rotation", "lam", "p", "xi")},
+        # the document's frame: h for complex documents, the real G~ for real ones
+        "metric": cert.metric if run.doc.mode == "complex" else real_metric(cert.metric, run.frame),
         "t_independent": cert.claims.t_independent,
         "residuals": cert.residuals,
         "termwise_residuals": list(cert.termwise_residuals),
         "positive": cert.positive,
         "min_eig": cert.min_eig,
-        "omega_terms": [
-            [list(P), list(Q), c]
-            for (P, Q), c in sorted(cert.omega_tilde.prune(cfg.prune).terms.items())
-        ],
-        "psi_terms": [
-            [[list(P), list(Q), c] for (P, Q), c in sorted(f.prune(cfg.prune).terms.items())]
-            for f in cert.psi
-        ],
     }
-    if closed_ok and cert.positive:
+    if cert.closed and cert.positive:
         rep.verdict += "; Kähler metric constructed"
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -64,14 +65,25 @@ def _at_least(least: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite tolerance above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text}")
+    return value
+
+
 @functools.cache  # parsing leaves the parser unchanged, so every call can share it
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--tol-alg", type=float, default=None, metavar="T",
+    shared.add_argument("--tol-alg", type=_tolerance, default=None, metavar="T",
                         help="algebraic-identity tolerance")
-    shared.add_argument("--tol-feas", type=float, default=None, metavar="T",
+    shared.add_argument("--tol-feas", type=_tolerance, default=None, metavar="T",
                         help="feasibility tolerance for the linear system")
-    shared.add_argument("--tol-cert", type=float, default=None, metavar="T",
+    shared.add_argument("--tol-cert", type=_tolerance, default=None, metavar="T",
                         help="certificate closure tolerance")
     shared.add_argument("--seed", type=_at_least(0), default=None, metavar="K",
                         help="seed for anything randomized")
@@ -144,6 +156,8 @@ def _load_config(args: argparse.Namespace) -> Config:
                 raise ValidationError(f"config key {k} must be a number")
             if k == "seed" and not (isinstance(v, int) and v >= 0):
                 raise ValidationError(f"config key seed must be a non-negative integer, got {v}")
+            if k != "seed" and not (math.isfinite(v) and v > 0):
+                raise ValidationError(f"config key {k} must be finite and above 0, got {v}")
         cfg = replace(cfg, **data)
     overrides = {k: getattr(args, k) for k in _CONFIG_FLAGS if getattr(args, k, None) is not None}
     return replace(cfg, **overrides) if overrides else cfg

@@ -25,8 +25,6 @@ class Config:
     tol_cert: float = 1e-8
     # relative to the spectral scale, for joint-diagonalization residuals
     tol_diag: float = 1e-8
-    # coefficient pruning threshold on canonicalized forms
-    prune: float = 1e-14
     # seed for the randomized HS metric search (joint diagonalization is
     # deterministic and takes no seed)
     seed: int = 0

@@ -282,12 +282,6 @@ def dd_residual(sc: StructureConstants) -> float:
     return worst
 
 
-def type_split(form: InvariantForm, p: int, q: int) -> InvariantForm:
-    """The (p, q)-homogeneous part; the parts over all bidegrees sum
-    back to the form exactly (keys are simply partitioned)."""
-    return form.component(p, q)
-
-
 def del_and_delbar(
     sc: StructureConstants, form: InvariantForm
 ) -> tuple[InvariantForm, InvariantForm]:
@@ -327,20 +321,3 @@ def hermitian_coefficients(form: InvariantForm, *, tol: float = 1e-9) -> np.ndar
         raise TypeError(f"the form is not real: coefficient matrix is {herm_res:.3e} from Hermitian")
     return (h + h.conj().T) / 2.0
 
-
-def positivity_11(form: InvariantForm, metric_frame_gram=None, *, tol: float = 1e-9) -> bool:
-    """True when a real (1,1) form is positive definite.
-
-    The optional frame Gram matrix whitens the coefficient matrix
-    before the eigenvalue test (congruence, so the verdict itself does
-    not depend on it); non-(1,1) or non-real input raises TypeError.
-    """
-    h = hermitian_coefficients(form, tol=tol)
-    if h.shape[0] == 0:
-        return True
-    if metric_frame_gram is not None:
-        L = np.linalg.cholesky(np.asarray(metric_frame_gram, dtype=complex))
-        h = np.linalg.solve(L, np.linalg.solve(L, h.conj().T).conj().T)
-        h = (h + h.conj().T) / 2.0
-    scale = max(1.0, float(np.max(np.abs(h))))
-    return bool(np.min(np.linalg.eigvalsh(h)) > tol * scale)

@@ -21,9 +21,13 @@ then closes the form
            + i sum phi_c ^ conj(phi_c)             (outer block)
 
 term by term, giving an explicit invariant positive closed (1,1) form.
-Everything here is verified numerically and reported as residuals; a
-failed construction raises :class:`CertificationError` rather than
-returning a silently wrong certificate.
+It is one Hermitian matrix in any frame; the certificate gives it in
+the caller's frame, where it does not depend on the unitary freedom
+that fixes lam and p, and checks its closure with the closed-form map
+:func:`hskahler.metrics.d_omega`.  Everything here is verified
+numerically and reported as residuals; a failed construction raises
+:class:`CertificationError` rather than returning a silently wrong
+certificate.
 
 ``generate_family`` runs the dictionary backwards: from (lam, p) it
 emits structure constants that realize exactly this model, which makes
@@ -37,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import CheckResult, StructureConstants, _max_abs, change_frame, realify
+from .algebra import CheckResult, Frame, StructureConstants, _max_abs, change_frame, realify
 from .config import Config, _cfg
 from .errors import (
     CertificationError,
@@ -46,8 +50,7 @@ from .errors import (
     PreconditionError,
     StructureError,
 )
-from .forms import InvariantForm, hermitian_coefficients
-from .metrics import hs_decide
+from .metrics import d_omega, hs_decide
 from .solvable import AdmissibleDecomposition, _blocks, _same_n, _skew
 
 
@@ -285,44 +288,35 @@ def claims_pipeline(
 
 @dataclass
 class KahlerCertificate:
-    """A verified invariant closed positive (1,1) form, in the rotated
-    admissible frame ``phi~ = A^T phi`` recorded in ``rotation``.
+    """A verified invariant closed positive (1,1) form omega~, given as
+    its Hermitian coefficient matrix ``metric`` in the target frame of
+    :func:`kahlerize`.
 
     ``psi_coeffs[k]`` holds the coefficients of psi_{k+1} in the
-    rotated coframe; ``residuals`` maps check names to sup-norm values
+    rotated admissible coframe ``phi~ = A^T phi`` (A is ``rotation``);
+    ``residuals`` maps check names to sup-norm values
     (``t_i_independence`` stores a conditioning ratio instead: the
     smallest relative singular value of the eigenvalue tuples, large
-    when they are safely independent).
+    when they are safely independent).  ``closed`` compares
+    ``d_omega_tilde`` with ``tol_cert`` scaled by max(1, the target
+    constants' magnitude).
     """
 
     n: int
     r: int
     s: int
-    U: np.ndarray
     rotation: np.ndarray
     lam: np.ndarray                 # (n - r, r): lam[x - r - 1, i - 1]
     p: np.ndarray                   # (r,)
     xi: np.ndarray                  # (n - r, r)
     psi_coeffs: np.ndarray          # (n, n)
-    psi: list[InvariantForm]
-    omega_tilde: InvariantForm
-    sc_rotated: StructureConstants
+    metric: np.ndarray              # (n, n) Hermitian, in the target frame
     residuals: dict[str, float]
     termwise_residuals: tuple[float, ...]
+    closed: bool
     positive: bool
     min_eig: float
     claims: ClaimsRecord
-
-    def summary(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "s": self.s,
-            "positive": self.positive,
-            "min_eig": self.min_eig,
-            "t_independent": self.claims.t_independent,
-            **{k: v for k, v in self.residuals.items()},
-        }
 
 
 def kahlerize(
@@ -332,6 +326,7 @@ def kahlerize(
     *,
     cfg: Config | None = None,
     strict: bool = True,
+    target: tuple[Frame, StructureConstants] | None = None,
 ) -> KahlerCertificate:
     """Construct and verify a closed positive completion of the metric.
 
@@ -341,8 +336,16 @@ def kahlerize(
     :class:`PreconditionError`).  The claims pipeline runs first and
     its gates apply.
 
-    With ``strict=True`` a certificate whose closure residual exceeds
-    ``cfg.tol_cert`` (scaled by the constants' magnitude) or that fails
+    omega~ is built in the rotated admissible frame as one Hermitian
+    matrix, the sum of the terms psi_i^T conj(psi_i) and the block part
+    diag(0, g_mid, Identity), and carried by congruence to ``target``:
+    a frame of the same complex structure and the constants in it
+    (``dec.frame`` and ``sc`` by default).  Closure, whole and per
+    term, and positivity are measured there, with :func:`d_omega`
+    against the target constants; unlike lam and p, the metric there
+    does not depend on the unitary freedom inside the admissible blocks.
+
+    With ``strict=True`` a certificate that is not closed or fails
     positivity raises :class:`CertificationError` naming the offending
     term; pass ``strict=False`` to inspect the failed certificate.
     """
@@ -359,80 +362,55 @@ def kahlerize(
         S = sol.S
 
     rec = claims_pipeline(dec, sc, S, cfg=cfg)
-    sc_rot = rec.sc_rotated
     lam, p = rec.lam, rec.p
-    xs = list(range(r + 1, n + 1))
-    g_mid = dec.g_mid  # untouched by the rotation, which lives in the first block
+    psi = np.eye(n, dtype=complex)
+    psi[:r, r:] = p[:, None] * lam.T
 
-    psi_coeffs = np.eye(n, dtype=complex)
-    for i in range(r):
-        psi_coeffs[i, r:] = p[i] * lam[:, i]
-    psi: list[InvariantForm] = []
-    for k in range(n):
-        f = InvariantForm.zero(n)
-        for j in range(n):
-            if psi_coeffs[k, j] != 0:
-                f = f + psi_coeffs[k, j] * InvariantForm.phi(n, j + 1)
-        psi.append(f)
+    # the terms i psi_i ^ conj(psi_i), the block part (g_mid is untouched by
+    # the rotation, which lives in the first block), and their sum omega~
+    block = np.zeros((n, n), dtype=complex)
+    block[r:s, r:s] = dec.g_mid
+    block[s:, s:] = np.eye(n - s)
+    terms = psi[:r, :, None] * np.conj(psi[:r, None, :])
+    stack = np.concatenate([terms, block[None], (psi[:r].T @ np.conj(psi[:r]) + block)[None]])
 
-    omega = InvariantForm.zero(n)
-    termwise = []
-    term_names = []
-    for i in range(r):
-        term = 1j * psi[i].wedge(psi[i].conj())
-        omega = omega + term
-        termwise.append(term.d(sc_rot).sup())
-        term_names.append(f"psi_{i + 1} ^ conj(psi_{i + 1})")
-    rest = InvariantForm.zero(n)
-    for a in range(r + 1, s + 1):
-        for b in range(r + 1, s + 1):
-            if g_mid[a - r - 1, b - r - 1] != 0:
-                rest = rest + 1j * g_mid[a - r - 1, b - r - 1] * InvariantForm.phi(n, a).wedge(
-                    InvariantForm.phibar(n, b)
-                )
-    for c in range(s + 1, n + 1):
-        rest = rest + 1j * InvariantForm.phi(n, c).wedge(InvariantForm.phibar(n, c))
-    if n > r:
-        omega = omega + rest
-        termwise.append(rest.d(sc_rot).sup())
-        term_names.append("the metric block part")
+    # the rotated frame is E_rot = E_target K; its coframe is K^-1 phi
+    frame, sc_t = target if target is not None else (dec.frame, sc)
+    E_rot = dec.frame.E @ np.linalg.inv(rec.rotation).T
+    Kinv = np.linalg.inv(np.linalg.lstsq(frame.E, E_rot, rcond=None)[0])
+    stack = Kinv.T @ stack @ np.conj(Kinv)
+    stack = (stack + np.conj(stack.swapaxes(1, 2))) / 2.0
+    *termwise, d_res = np.max(np.abs(d_omega(sc_t, stack)), axis=(1, 2, 3))
+    metric = stack[-1]
 
-    d_res = omega.d(sc_rot).sup()
     reality = 0.0
     if s > r:
         reality = max(_max_abs(lam[: s - r].imag), _max_abs(p.imag))
     residuals = {
-        "d_omega_tilde": d_res,
+        "d_omega_tilde": float(d_res),
         "claims_1_5": rec.worst(),
         "t_i_independence": rec.t_ratio,
         "p_proportionality": rec.p_residual,
         "reality": reality,
     }
-
-    h = hermitian_coefficients(omega)
-    eigs = np.linalg.eigvalsh(h)
-    min_eig = float(eigs[0]) if eigs.size else 1.0
-    positive = bool(min_eig > 0.0)
-
+    min_eig = float(np.linalg.eigvalsh(metric)[0])
+    gate = cfg.tol_cert * max(1.0, sc_t.magnitude())
     cert = KahlerCertificate(
         n=n, r=r, s=s,
-        U=rec.U, rotation=rec.rotation,
-        lam=lam, p=p, xi=rec.xi,
-        psi_coeffs=psi_coeffs, psi=psi,
-        omega_tilde=omega, sc_rotated=sc_rot,
+        rotation=rec.rotation, lam=lam, p=p, xi=rec.xi, psi_coeffs=psi, metric=metric,
         residuals=residuals,
-        termwise_residuals=tuple(termwise),
-        positive=positive, min_eig=min_eig,
+        termwise_residuals=tuple(float(t) for t in termwise),
+        closed=bool(d_res <= gate), positive=min_eig > 0.0, min_eig=min_eig,
         claims=rec,
     )
     if strict:
-        gate = cfg.tol_cert * max(1.0, sc_rot.magnitude())
-        if d_res > gate:
-            msg = f"constructed form is not closed: residual {d_res:.3e} exceeds {gate:.1e}"
-            if termwise:
-                msg += f" (worst term: {term_names[int(np.argmax(termwise))]})"
-            raise CertificationError(msg)
-        if not positive:
+        if not cert.closed:
+            names = [f"psi_{i + 1} ^ conj(psi_{i + 1})" for i in range(r)] + ["the metric block part"]
+            raise CertificationError(
+                f"constructed form is not closed: residual {d_res:.3e} exceeds {gate:.1e}"
+                f" (worst term: {names[int(np.argmax(termwise))]})"
+            )
+        if not cert.positive:
             raise CertificationError(
                 f"constructed form is not positive: min eigenvalue {min_eig:.3e}"
             )

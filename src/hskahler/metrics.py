@@ -7,26 +7,29 @@ automatically.  The fundamental form is
 
     omega = i * sum g[i, j] phi_i ^ conj(phi_j).
 
+:func:`d_omega` gives the (2,1) part of d omega for any Hermitian h in
+place of g, linearly and with no inverse: i sum_r T^r_{ik} h_{rj}, T the
+Chern torsion, written out in C and D.  It decides the Kahler class, it
+is -2 b(g) for the right-hand side b(g) of the HS system below, and it
+checks the closure of the Kahler certificate.
+
 ``hs_decide`` answers, for fixed (C, D, g), whether a closed form
 ``Omega = omega + alpha + conj(alpha)`` with invariant (2,0) part
 ``alpha = sum S_{ik} phi_i ^ phi_k`` exists.  That is a linear system in
 the skew matrix S:
 
   (a)  sum_r ( S_{ri} C^r_{jk} + S_{rj} C^r_{ki} + S_{rk} C^r_{ij} ) = 0
-  (b)  sum_r ( S_{rk} conj(D^i_{rj}) - S_{ri} conj(D^k_{rj}) )
-           = -(i/2) sum_r T^r_{ik} g[r, j]
+  (b)  sum_r ( S_{rk} conj(D^i_{rj}) - S_{ri} conj(D^k_{rj}) ) = b(g)_{ikj}
 
-over all index triples, with T the Chern torsion.  Feasibility is read
-off the least-squares residual.  The matrix A of the left-hand side
-depends on (C, D) only and the right-hand side b(g) carries the metric,
-so :func:`hs_metric_search` factors A once and scores every candidate
-metric against that factorization.
+over all index triples.  Feasibility is read off the least-squares
+residual.  The matrix A of the left-hand side depends on (C, D) only
+and b(g) is linear in the metric, so :func:`hs_metric_search` factors A
+once and scores every candidate metric against that factorization.
 
-The Kahler and balanced classes are decided from the torsion directly:
-the (2,1) part of d omega has the coefficients 2 b(g), and
-d(omega^(n-1)) vanishes exactly when the Lee form
-theta_k = sum_j T^j_{jk} does (Gauduchon 1984).  The form engine is
-used for the pluriclosed class only.
+The balanced class is decided from the torsion: d(omega^(n-1))
+vanishes exactly when the Lee form theta_k = sum_j T^j_{jk} does
+(Gauduchon 1984).  The form engine is used for the pluriclosed class
+only.
 """
 
 from __future__ import annotations
@@ -88,6 +91,14 @@ def frame_metric_from_real(G, frame, *, cfg: Config | None = None) -> FrameMetri
     return FrameMetric(g, cfg=cfg)
 
 
+def real_metric(h, frame) -> np.ndarray:
+    """The real J-compatible metric whose frame metric in ``frame`` is
+    the Hermitian h; the inverse of :func:`frame_metric_from_real`."""
+    phi = frame.Binv[: frame.n]
+    M = (phi.T @ h @ np.conj(phi)).real
+    return M + M.T
+
+
 def chern_torsion(sc: StructureConstants, g) -> np.ndarray:
     """Torsion components T[j, i, k] = T^j_{ik} of the Chern connection:
 
@@ -114,6 +125,22 @@ def chern_torsion_unitary(sc: StructureConstants) -> np.ndarray:
     return sc.D.swapaxes(1, 2) - sc.D - sc.C
 
 
+def d_omega(sc: StructureConstants, h) -> np.ndarray:
+    """(2,1) coefficients of d omega for omega = i sum h_ab phi_a ^ conj(phi_b).
+
+    Entry ``[..., i, k, j]`` multiplies phi_i ^ phi_k ^ conj(phi_j)
+    (i < k) and is -i (sum_r C^r_{ik} h_{rj} + sum_a D^j_{ak} h_{ia}
+    - sum_a D^j_{ai} h_{ka}); h may be a stack (leading axes) and need
+    not be positive.
+    """
+    n = sc.n
+    h = np.asarray(h, dtype=complex)
+    lead = h.shape[:-2]
+    Ch = (sc.C.reshape(n, n * n).T @ h).reshape(*lead, n, n, n)
+    Dh = (h @ sc.D.transpose(1, 2, 0).reshape(n, n * n)).reshape(*lead, n, n, n)
+    return -1j * (Ch + Dh - Dh.swapaxes(-3, -2))
+
+
 def kahler_form(g, n: int | None = None) -> InvariantForm:
     """omega = i * sum g[i, j] phi_i ^ conj(phi_j)."""
     g = _as_g(g)
@@ -127,14 +154,9 @@ def kahler_form(g, n: int | None = None) -> InvariantForm:
 
 
 def kahler_check(sc: StructureConstants, g, *, cfg: Config | None = None) -> CheckResult:
-    """d omega = 0; residual is the raw sup norm over form coefficients.
-
-    The coefficient of phi_i ^ phi_k ^ conj(phi_j) (i < k) in d omega is
-    2 b(g)_{ikj}, with b(g) = -(i/2) T g the right-hand side of the HS
-    system, and the (1,2) part is its conjugate: Kahler iff T g = 0.
-    """
+    """d omega = 0; residual is the raw sup norm of :func:`d_omega`."""
     cfg = _cfg(cfg)
-    res = 2.0 * _max_abs(_hs_rhs(sc, _as_g(g)))
+    res = _max_abs(d_omega(sc, _as_g(g)))
     return CheckResult(res <= cfg.tol_alg, res)
 
 
@@ -199,9 +221,8 @@ def _hs_rows(sc: StructureConstants, S: np.ndarray) -> np.ndarray:
 
 
 def _hs_rhs(sc: StructureConstants, g: np.ndarray) -> np.ndarray:
-    T = chern_torsion(sc, g)
-    rhs_b = -0.5j * np.einsum("rik,rj->ikj", T, g)
-    return np.concatenate([np.zeros(sc.n**3, dtype=complex), rhs_b.ravel()])
+    b = -0.5 * d_omega(sc, g)
+    return np.concatenate([np.zeros(sc.n**3, dtype=complex), b.ravel()])
 
 
 class _HSSystem(NamedTuple):

@@ -517,7 +517,9 @@ def test_config_file_validation(capsys, tmp_path):
     assert run_command(["analyze", "torus", "--config", str(bad)]) == 2
     bad.write_text("{broken")
     assert run_command(["analyze", "torus", "--config", str(bad)]) == 2
-    capsys.readouterr()
+    bad.write_text(json.dumps({"prune": 1e-14}))  # no longer a setting
+    assert run_command(["analyze", "torus", "--config", str(bad)]) == 2
+    assert "unknown config keys: prune" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -550,6 +552,27 @@ def test_config_seed_must_be_a_non_negative_integer(capsys, tmp_path, seed):
         captured = capsys.readouterr()
         assert captured.out == "" and "seed" in captured.err
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--tol-alg", "--tol-feas", "--tol-cert"])
+def test_tolerance_flags_must_be_finite_and_positive(capsys, flag):
+    # the flat torus has residual exactly 0, so a bad tolerance was the only
+    # way "hs torus" could exit 1
+    for value in ("-1", "0", "nan", "inf"):
+        code = run_command(["hs", "torus", flag, value, "--json-only"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", value
+        assert flag in captured.err and "above 0" in captured.err, value
+
+
+@pytest.mark.parametrize("key", ["tol_alg", "tol_jacobi", "tol_rank", "tol_feas", "tol_cert", "tol_diag"])
+def test_config_tolerances_must_be_finite_and_positive(capsys, tmp_path, key):
+    cfg = tmp_path / "cfg.json"
+    for value in (-1, 0, float("nan"), float("inf")):
+        cfg.write_text(json.dumps({key: value}))
+        assert run_command(["analyze", "torus", "--config", str(cfg), "--json-only"]) == 2, value
+        captured = capsys.readouterr()
+        assert captured.out == "" and key in captured.err, value
 
 
 def test_report_file_output(capsys, tmp_path):

@@ -17,8 +17,6 @@ from hskahler import (
     del_and_delbar,
     hermitian_coefficients,
     kahler_form,
-    positivity_11,
-    type_split,
 )
 from hskahler.forms import _coframe_differentials
 
@@ -132,7 +130,7 @@ def test_component_partition_and_bidegrees():
     assert a.bidegrees() == {(1, 1), (2, 0)}
     total = InvariantForm.zero(3)
     for (p, q) in a.bidegrees():
-        total = total + type_split(a, p, q)
+        total = total + a.component(p, q)
     assert (total - a).is_zero()
     assert a.component(0, 2).is_zero()
 
@@ -162,15 +160,6 @@ def test_hermitian_coefficients_rejects_non_real():
         hermitian_coefficients(a)
     with pytest.raises(TypeError):
         hermitian_coefficients(InvariantForm.phi(2, 1))
-
-
-def test_positivity(rng):
-    assert positivity_11(kahler_form(np.eye(3)))
-    g = np.diag([1.0, -0.5, 2.0])
-    assert not positivity_11(kahler_form(g))
-    # congruence by the frame Gram matrix never flips the verdict
-    g = random_posdef(rng, 3)
-    assert positivity_11(kahler_form(g), metric_frame_gram=random_posdef(rng, 3))
 
 
 def test_prune_sup_zero():

@@ -3,14 +3,21 @@
 import numpy as np
 import pytest
 
-from conftest import FAMILY_GRID, abelian_sc, aff_sc, kt_real, random_unitary
+from conftest import (
+    FAMILY_GRID, abelian_sc, aff_sc, catalog_doc, kt_real, random_invertible, random_unitary,
+)
 
 from hskahler.algebra import (
     RealLieAlgebra,
     StructureConstants,
+    canonical_frame,
+    change_frame,
+    complexify_and_extract,
     realify,
     unimodularity_check,
 )
+from hskahler.analysis import run_kahlerize
+from hskahler.documents import AlgebraDocument
 from hskahler.errors import (
     CertificationError,
     ClaimViolation,
@@ -18,13 +25,14 @@ from hskahler.errors import (
     PreconditionError,
     StructureError,
 )
-from hskahler.forms import InvariantForm
+from hskahler.forms import InvariantForm, hermitian_coefficients
 from hskahler.kahler import (
     claims_pipeline,
     generate_family,
     kahlerize,
     simultaneous_diagonalize,
 )
+from hskahler.metrics import d_omega, frame_metric_from_real, kahler_form
 from hskahler.solvable import admissible_from_frame, build_admissible_frame
 
 
@@ -333,6 +341,121 @@ def test_certificate_dimension_guard():
     fam = generate_family(1, 3, seed=33)
     with pytest.raises(PreconditionError):
         kahlerize(_family_dec(fam), abelian_sc(2))
+
+
+
+# ------------------------------------------- the metric in the caller's frame
+
+
+def _reframed(fam, A):
+    """The family instance after the change of frame A, as the analysis
+    sees it: the rebuilt admissible frame with its constants, and the
+    document's own frame with its constants."""
+    sc = change_frame(fam.sc, A)
+    Ainv = np.linalg.inv(A)
+    alg, J, G, frame = realify(sc.C, sc.D, Ainv @ fam.g @ Ainv.conj().T)
+    dec = build_admissible_frame(alg, J, G)
+    return dec, complexify_and_extract(alg, J, dec.frame), (frame, sc)
+
+
+def _engine_omega(cert, dec):
+    """omega~ and its terms as InvariantForms in the rotated admissible
+    frame, wedged from psi_coeffs and g_mid one coefficient at a time."""
+    n, r, s = cert.n, cert.r, cert.s
+    psi = [sum((c * InvariantForm.phi(n, j + 1) for j, c in enumerate(row) if c != 0),
+               InvariantForm.zero(n)) for row in cert.psi_coeffs]
+    terms = [1j * psi[i].wedge(psi[i].conj()) for i in range(r)]
+    rest = InvariantForm.zero(n)
+    for a in range(r, s):
+        for b in range(r, s):
+            rest = rest + 1j * dec.g_mid[a - r, b - r] * InvariantForm.phi(n, a + 1).wedge(
+                InvariantForm.phibar(n, b + 1))
+    for c in range(s, n):
+        rest = rest + 1j * InvariantForm.phi(n, c + 1).wedge(InvariantForm.phibar(n, c + 1))
+    terms.append(rest)
+    return sum(terms[1:], terms[0]), terms
+
+
+@pytest.mark.parametrize("tamper", [False, True])
+def test_certificate_metric_is_the_engine_form_in_the_callers_frame(rng, tamper):
+    fam = generate_family(2, 5, seed=41)
+    if tamper:  # one v entry off the rank-one pattern: the form is not closed
+        D = fam.sc.D.copy()
+        D[3, 0, 3] *= 1.3
+        sc = StructureConstants(fam.sc.C, D, validate=False)
+        dec, sc_adm, frame, S = _family_dec(fam), sc, fam.frame, fam.S
+    else:
+        dec, sc_adm, (frame, sc) = _reframed(fam, random_invertible(rng, 5))
+        S = None
+    cert = kahlerize(dec, sc_adm, S, target=(frame, sc), strict=False)
+    omega, terms = _engine_omega(cert, dec)
+    E_rot = dec.frame.E @ np.linalg.inv(cert.rotation).T
+    Kinv = np.linalg.inv(np.linalg.lstsq(frame.E, E_rot, rcond=None)[0])
+    to_doc = lambda form: Kinv.T @ hermitian_coefficients(form) @ np.conj(Kinv)
+    h = to_doc(omega)
+    assert np.max(np.abs(cert.metric - h)) <= 1e-12 * np.max(np.abs(h))
+    engine = [kahler_form(to_doc(t)).d(sc).sup() for t in terms]
+    whole = kahler_form(h).d(sc).sup()
+    assert cert.termwise_residuals == pytest.approx(engine, rel=1e-12, abs=1e-13)
+    assert cert.residuals["d_omega_tilde"] == pytest.approx(whole, rel=1e-12, abs=1e-13)
+    assert (whole > 1e-2) is tamper and cert.closed is not tamper
+    assert cert.min_eig == pytest.approx(np.linalg.eigvalsh(h)[0], rel=1e-12)
+
+
+def test_certificate_metric_moves_by_congruence_under_a_change_of_frame(rng):
+    doc = catalog_doc("family_r2n5")
+    sc, g, _ = doc.build_complex()
+    metric = run_kahlerize(doc).extras["certificate"]["metric"]
+    for _ in range(3):
+        A = random_invertible(rng, sc.n)
+        Ainv = np.linalg.inv(A)
+        moved = change_frame(sc, A)
+        other = AlgebraDocument.from_complex("moved", moved.C, moved.D, g=Ainv @ g @ Ainv.conj().T)
+        rep = run_kahlerize(other)
+        assert rep.verdict.endswith("; Kähler metric constructed")
+        want = Ainv @ metric @ Ainv.conj().T
+        got = rep.extras["certificate"]["metric"]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_certificate_metric_is_stable_where_lam_and_p_are_not(rng):
+    """The admissible frame is fixed only up to a unitary change inside
+    its blocks, so a 1e-14 perturbation of the constants may move lam
+    and p by O(1); the metric in the document's frame stays put."""
+    fam = generate_family(3, 8, seed=42)
+    A = random_invertible(rng, 8)
+    Ainv = np.linalg.inv(A)
+    sc, g = change_frame(fam.sc, A), Ainv @ fam.g @ Ainv.conj().T
+    noise = lambda: 1.0 + 1e-14 * rng.standard_normal(sc.C.shape)
+    metrics = []
+    for C, D in [(sc.C, sc.D)] + [(sc.C * noise(), sc.D * noise()) for _ in range(3)]:
+        rep = run_kahlerize(AlgebraDocument.from_complex("perturbed", C, D, g=g))
+        assert rep.verdict.endswith("; Kähler metric constructed")
+        metrics.append(rep.extras["certificate"]["metric"])
+    for m in metrics[1:]:
+        assert np.max(np.abs(m - metrics[0])) <= 1e-12 * np.max(np.abs(metrics[0]))
+
+
+def test_real_documents_ship_the_real_metric(rng):
+    fam = generate_family(2, 5, seed=43)
+    P = rng.standard_normal((10, 10)) + 3.0 * np.eye(10)
+    Pinv = np.linalg.inv(P)
+    f = np.einsum("cz,zxy,xa,yb->cab", Pinv, fam.alg.f, P, P)
+    J, G = Pinv @ fam.J @ P, P.T @ fam.G @ P
+    rep = run_kahlerize(AlgebraDocument.from_real("real", f, J, G))
+    assert rep.verdict.endswith("; Kähler metric constructed")
+    cert = rep.extras["certificate"]
+    Gt = cert["metric"]
+    assert Gt.shape == (10, 10) and Gt.dtype == float and np.array_equal(Gt, Gt.T)
+    alg, J, G = AlgebraDocument.from_real("real", f, J, G).build_real()
+    frame = canonical_frame(J)
+    sc = complexify_and_extract(alg, J, frame)
+    dec = build_admissible_frame(alg, J, G)
+    want = kahlerize(dec, complexify_and_extract(alg, J, dec.frame), target=(frame, sc)).metric
+    h = frame_metric_from_real(Gt, frame).g
+    assert np.max(np.abs(h - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(d_omega(sc, h))) <= 1e-10
+    assert np.linalg.eigvalsh(h)[0] == pytest.approx(cert["min_eig"], rel=1e-12)
 
 
 # ------------------------------------------------------------ family input

@@ -14,6 +14,7 @@ from hskahler import (
     canonical_frame,
     change_frame,
     chern_torsion,
+    d_omega,
     chern_torsion_unitary,
     complexify_and_extract,
     frame_metric_from_real,
@@ -34,6 +35,7 @@ from conftest import (
     abelian_sc,
     aff_sc,
     catalog_doc,
+    jacobi_pool,
     kt_real,
     random_invertible,
     random_jacobi_sc,
@@ -171,6 +173,27 @@ def test_kahler_and_balanced_match_the_form_engine(rng):
             ref = reference(sc, g)
             res = check(sc, g).residual
             assert abs(res - ref) <= 1e-12 * ref or res == ref == 0.0, (check.__name__, sc.n)
+
+
+def test_d_omega_is_the_form_engine_on_indefinite_matrices(rng):
+    """The closure map needs no inverse, so it holds for any Hermitian h."""
+    for sc in jacobi_pool():
+        n = sc.n
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = a + a.conj().T
+        h -= np.trace(h).real / n * np.eye(n)
+        assert np.linalg.eigvalsh(h)[0] < 0.0
+        ref = kahler_form(h).d(sc)
+        got = d_omega(sc, h)
+        assert abs(np.max(np.abs(got)) - ref.sup()) <= 1e-12 * ref.sup()
+        iu, ku = np.triu_indices(n, 1)
+        want = [[ref.terms.get(((i + 1, k + 1), (j + 1,)), 0.0) for j in range(n)]
+                for i, k in zip(iu, ku)]
+        np.testing.assert_allclose(got[iu, ku], want, rtol=0, atol=1e-12 * max(1.0, ref.sup()))
+        np.testing.assert_array_equal(got, -got.swapaxes(0, 1))
+        stack = np.stack([h, np.eye(n), 2.0 * h])
+        np.testing.assert_allclose(d_omega(sc, stack), [got, d_omega(sc, np.eye(n)), 2.0 * got],
+                                   rtol=0, atol=1e-14 * max(1.0, ref.sup()))
 
 
 def per_basis_matrix(sc) -> np.ndarray:
