@@ -311,13 +311,11 @@ def reconstruction_residual(alg: RealLieAlgebra, frame: Frame, sc: StructureCons
 
 
 def unimodularity_check(sc: StructureConstants, *, cfg: Config | None = None) -> CheckResult:
-    """Trace condition sum_r ( C^r_{ri} + D^r_{ri} ) = 0 for every i.
-
-    The residual is scale-normalized by max(1, largest constant).
-    """
+    """Trace condition sum_r ( C^r_{ri} + D^r_{ri} ) = 0 for every i,
+    raw sup norm against the absolute ``tol_alg``."""
     cfg = _cfg(cfg)
     tr = np.einsum("rri->i", sc.C) + np.einsum("rri->i", sc.D)
-    res = _max_abs(tr) / max(1.0, sc.magnitude())
+    res = _max_abs(tr)
     return CheckResult(res <= cfg.tol_alg, res)
 
 

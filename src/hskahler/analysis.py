@@ -27,18 +27,20 @@ block identities follow from the compact-quotient hypotheses, not from
 the Jacobi identity alone, so a valid input may fail them; only
 ``verify-claims`` asks for them.
 
-The consistency residuals other than J^2 + Identity, and the
-unimodularity, restriction, block and claim residuals, are divided by
-max(1, s), s the natural scale of their equation (the largest structure
-constant or metric entry, squared for quadratic identities);
-``hs_feasible`` divides by max(1, ||b||).  The ``kahler``,
-``pluriclosed``, ``balanced`` and ``kahlerize_closed`` residuals are raw
-sup norms; the first three meet the absolute ``tol_alg``, so rescaling
-the bracket can flip them, and ``kahlerize_closed`` a scaled threshold.
-One linear map, :func:`hskahler.metrics.d_omega`, gives the ``kahler``
-residual, the HS right-hand side b(g) and ``kahlerize_closed``, which
-is measured, like ``kahlerize_positive``, on the certificate's metric
-in the document's own frame against the document's own constants.
+One scale gauge: scaling the bracket by t gives an isomorphic algebra,
+so the input stage divides the constants by their magnitude s, the
+largest |C| or |D| (1 for zero constants; ``profile.scale``), and every
+later stage decides on the unit-scale constants.  A record reports the
+residual it was decided on: a raw sup norm, or divided by max(1, |g|)
+(metric records), max(1, |S|) (``attached_S``), max(1, |S|)^2 (D block
+identities, claims), max(1, ||b||) (``hs_feasible``) or, before the
+gauge, max |f| (real-mode Jacobi, squared, integrability and
+reconstruction).  The certificate and the claims give lam times s and
+p over s, in the document's units.  One linear map,
+:func:`hskahler.metrics.d_omega`, gives the ``kahler`` residual, the HS
+right-hand side b(g) and ``kahlerize_closed``, which is measured, like
+``kahlerize_positive``, on the certificate's metric in the document's
+own frame against the gauged constants.
 """
 
 from __future__ import annotations
@@ -106,16 +108,6 @@ class Record:
     details: str = ""
     category: str = "consistency"  # consistency | classification | construction
 
-    def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "paper_ref": self.paper_ref,
-            "status": self.status,
-            "residual": self.residual,
-            "details": self.details,
-            "category": self.category,
-        }
-
 
 @dataclass
 class AnalysisReport:
@@ -170,7 +162,7 @@ class AnalysisReport:
             "mode": self.mode,
             "config": jsonable(self.config),
             "profile": jsonable(self.profile),
-            "records": [r.to_dict() for r in self.records],
+            "records": [dict(vars(r)) for r in self.records],
             "classes": jsonable(self.classes),
             "hs": jsonable(self.hs),
             "extras": jsonable(self.extras),
@@ -264,6 +256,7 @@ class _Run:
     sc_adm: StructureConstants | None = None
     restriction2: CheckResult | None = None
     hs_adm: HSSolution | None = None
+    scale: float = 1.0     # the magnitude the input's constants were divided by
 
 
 # A stage appends its records to the report and fills in the run.  It
@@ -273,23 +266,18 @@ _Why = tuple[str, float | None] | None
 
 
 def _input(run: _Run) -> _Why:
-    """The input checks, Jacobi through the structure equation."""
+    """The input checks, Jacobi through the structure equation, and the
+    scale gauge: every later stage sees the constants divided by their
+    magnitude."""
     doc, cfg, rep = run.doc, run.cfg, run.rep
     if doc.mode == "real":
         alg, J, G = doc.build_real(cfg=cfg, validate=False)
-        m = max(1.0, _max_abs(alg.f))
+        m = _max_abs(alg.f) or 1.0
         jac = alg.jacobi_residual() / m**2
         rep.add("jacobi", "the Jacobi identity", jac <= cfg.tol_jacobi, jac)
         jres = _max_abs(J @ J + np.eye(alg.dim))
         rep.add("complex_structure", "plumbing", jres <= cfg.tol_alg, jres)
-        gs = max(1.0, _max_abs(G))
-        sym = _max_abs(G - G.T) / gs
-        eigmin = float(np.min(np.linalg.eigvalsh((G + G.T) / 2.0)))
-        rep.add("metric_symmetric", "plumbing", sym <= cfg.tol_alg, sym)
-        rep.add(
-            "metric_positive", "plumbing", eigmin > 0.0, max(0.0, -eigmin) / gs,
-            details=f"min eigenvalue {eigmin:.3e}",
-        )
+        gs = _metric_records(rep, cfg, G, "metric_symmetric")
         comp = compatibility_residual(G, J) / gs
         rep.add("metric_compatible", "an inner product", comp <= cfg.tol_alg, comp)
         integ = integrability_residual(alg, J) / m
@@ -302,43 +290,37 @@ def _input(run: _Run) -> _Why:
         g = frame_metric_from_real(G, frame, cfg=cfg).g
         recon = reconstruction_residual(alg, frame, sc) / m
         rep.add("reconstruction", "plumbing", recon <= cfg.tol_alg, recon)
+        sc, scale = _gauge(sc)
+        alg = RealLieAlgebra(alg.f / scale, validate=False)
     else:
         sc, g, S_doc = doc.build_complex(cfg=cfg, validate=False)
-        gs = max(1.0, _max_abs(g))
-        herm = _max_abs(g - g.conj().T) / gs
-        eigmin = float(np.min(np.linalg.eigvalsh((g + g.conj().T) / 2.0)))
-        rep.add("metric_hermitian", "plumbing", herm <= cfg.tol_alg, herm)
-        rep.add(
-            "metric_positive", "plumbing", eigmin > 0.0, max(0.0, -eigmin) / gs,
-            details=f"min eigenvalue {eigmin:.3e}",
-        )
+        sc, scale = _gauge(sc)
+        _metric_records(rep, cfg, g, "metric_hermitian")
         if rep.failed():
             rep.verdict = "input is not a consistent Hermitian instance"
             return None
         alg, J, G, frame = realify(sc.C, sc.D, g, cfg=cfg, validate=False)
-        integ = integrability_residual(alg, J) / max(1.0, sc.magnitude())
+        integ = integrability_residual(alg, J)
         rep.add("integrability", "the integrability condition", integ <= cfg.tol_alg, integ)
         if S_doc is not None:
-            sres = hs_residual_of(sc, g, S_doc)
-            sscale = max(1.0, sc.magnitude() * max(1.0, _max_abs(S_doc)))
+            sres = hs_residual_of(sc, g, S_doc) / max(1.0, _max_abs(S_doc))
             rep.add(
                 "attached_S", "there exists a skew-symmetric matrix",
-                sres / sscale <= cfg.tol_feas, sres / sscale,
+                sres <= cfg.tol_feas, sres,
                 details="the document's S against the closed-completion system",
             )
+    rep.profile["scale"] = run.scale = scale
 
     # two independent routes to the same identity: index sums and d on the
     # coframe; neither is derived from the other in code
     fams = sc.bianchi_residuals()
-    scale2 = max(1.0, sc.magnitude() ** 2)
-    fams = {k: v / scale2 for k, v in fams.items()}
     worst = max(fams.values())
     rep.add(
         "bianchi_families", "the first Bianchi identity",
         worst <= cfg.tol_jacobi, worst,
         details=" ".join(f"{k}={v:.3e}" for k, v in fams.items()),
     )
-    dd = dd_residual(sc) / scale2
+    dd = dd_residual(sc)
     rep.add("dd_closure", "the (first) structure equation", dd <= cfg.tol_jacobi, dd)
     run.alg, run.J, run.G, run.frame, run.sc, run.g = alg, J, G, frame, sc, g
     failed = {r.check_id for r in rep.failed()}
@@ -348,6 +330,25 @@ def _input(run: _Run) -> _Why:
         rep.verdict = "input is not a consistent Hermitian instance"
     elif failed:
         rep.verdict = "the document's S is not a closed completion"
+
+
+def _metric_records(rep: AnalysisReport, cfg: Config, M: np.ndarray, check_id: str) -> float:
+    """M is symmetric (Hermitian) and positive definite; returns the
+    max(1, |M|) that its residuals are divided by."""
+    gs = max(1.0, _max_abs(M))
+    sym = _max_abs(M - M.conj().T) / gs
+    eigmin = float(np.min(np.linalg.eigvalsh((M + M.conj().T) / 2.0)))
+    rep.add(check_id, "plumbing", sym <= cfg.tol_alg, sym)
+    rep.add("metric_positive", "plumbing", eigmin > 0.0, max(0.0, -eigmin) / gs,
+            details=f"min eigenvalue {eigmin:.3e}")
+    return gs
+
+
+def _gauge(sc: StructureConstants) -> tuple[StructureConstants, float]:
+    """The constants divided by their magnitude s, and s; zero constants
+    are their own gauge, with s = 1."""
+    scale = sc.magnitude() or 1.0
+    return StructureConstants(sc.C / scale, sc.D / scale, validate=False), scale
 
 
 def _hs_feasible(run: _Run) -> HSSolution:
@@ -383,13 +384,13 @@ def _classes(run: _Run) -> _Why:
         profile.is_2step_solvable, None,
         details=f"derived series dims {profile.dims}", category="classification",
     )
-    rep.profile = {
+    rep.profile.update({
         "dim_real": run.alg.dim,
         "n": sc.n,
         "derived_dims": list(profile.dims),
         "two_step": profile.is_2step_solvable,
         "admissible": None,
-    }
+    })
 
     kah = kahler_check(sc, g, cfg=cfg)
     plu = pluriclosed_check(sc, g, cfg=cfg)
@@ -518,9 +519,10 @@ def _claims(run: _Run) -> _Why:
     except StructureError as e:
         return str(e), None
     _claim_records(rep, rec)
+    # lam has the degree of the constants and p the opposite one
     rep.extras["claims"] = {
-        k: getattr(rec, k)
-        for k in ("lam", "xi", "p", "rotation", "p_residual", "t_ratio", "t_independent")
+        "lam": rec.lam * run.scale, "xi": rec.xi, "p": rec.p / run.scale,
+        **{k: getattr(rec, k) for k in ("rotation", "p_residual", "t_ratio", "t_independent")},
     }
 
 
@@ -565,7 +567,8 @@ def _construct(run: _Run) -> _Why:
         details=f"min eigenvalue {cert.min_eig:.6g}", category="classification",
     )
     rep.extras["certificate"] = {
-        **{k: getattr(cert, k) for k in ("r", "s", "n", "rotation", "lam", "p", "xi")},
+        **{k: getattr(cert, k) for k in ("r", "s", "n", "rotation")},
+        "lam": cert.lam * run.scale, "p": cert.p / run.scale, "xi": cert.xi,
         # the document's frame: h for complex documents, the real G~ for real ones
         "metric": cert.metric if run.doc.mode == "complex" else real_metric(cert.metric, run.frame),
         "t_independent": cert.claims.t_independent,

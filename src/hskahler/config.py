@@ -2,7 +2,8 @@
 
 All numerical decisions in the package go through a `Config`.  The
 defaults below are the documented contract; tests pin them.  Every
-tolerance is either absolute or explicitly relative, as noted.
+tolerance is absolute or explicitly relative, as noted, and meets
+constants the analysis has divided by their magnitude.
 """
 
 from __future__ import annotations
@@ -13,15 +14,15 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Config:
-    # absolute, for algebraic identities on O(1)-scaled data
+    # absolute, for algebraic identities on unit-scale constants
     tol_alg: float = 1e-9
     # absolute, for Jacobi / first-Bianchi residuals
     tol_jacobi: float = 1e-8
     # relative to the largest singular value, for rank decisions
     tol_rank: float = 1e-8
-    # scaled by max(1, ||rhs||) in the feasibility test
+    # scaled by max(1, ||rhs||) of the unit-scale HS system
     tol_feas: float = 1e-8
-    # scaled by max(1, largest structure-constant magnitude) in certificates
+    # absolute, for the closure of certificates on unit-scale constants
     tol_cert: float = 1e-8
     # relative to the spectral scale, for joint-diagonalization residuals
     tol_diag: float = 1e-8

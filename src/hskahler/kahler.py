@@ -149,7 +149,7 @@ class ClaimsRecord:
     completion: the vanishing checks, the diagonalizing rotation, and
     the recovered (lam, xi, p) data.
 
-    Residuals are scaled by max(1, magnitude^2) of the block data.
+    Residuals are scaled by max(1, ||S||)^2.
     """
 
     n: int
@@ -161,7 +161,6 @@ class ClaimsRecord:
     commutation: CheckResult        # claim 3: [D_x, S'^* S'] = [D_x^*, S'^* S'] = 0
     range_membership: CheckResult   # claim 4: v^x_y in im(D_x) and im(D_y)
     common_preimage: CheckResult    # claim 5: v^x_y = D_y xi_x
-    U: np.ndarray = field(repr=False)
     rotation: np.ndarray = field(repr=False)
     sc_rotated: StructureConstants = field(repr=False)
     S_rotated: np.ndarray = field(repr=False)
@@ -211,7 +210,7 @@ def claims_pipeline(
     S = _skew(S, sc.n)
     n, r, s = dec.n, dec.r, dec.s
     C, D, Z, _, w, _, _ = _blocks(sc, r)
-    scale = max(1.0, max(sc.magnitude(), _max_abs(S)) ** 2)
+    scale = max(1.0, _max_abs(S)) ** 2
 
     rz, rw, ro = _max_abs(Z), _max_abs(w), _max_abs(C + D)
     mk = lambda v: CheckResult(v / scale <= cfg.tol_alg, v / scale)
@@ -238,9 +237,8 @@ def claims_pipeline(
     _, Dr, _, vr, _, _, Sp = _blocks(sc_rot, r, S_rot)
 
     lam = np.diagonal(Dr, axis1=1, axis2=2).copy()       # (n - r, r)
-    mag = _max_abs(lam)
     t_norms = np.linalg.norm(lam, axis=0)
-    if r and np.any(t_norms <= 1e-12 * max(1.0, mag)):
+    if r and np.any(t_norms <= 1e-12 * _max_abs(lam)):
         bad = int(np.argmin(t_norms)) + 1
         raise StructureError(
             f"eigenvalue tuple t_{bad} vanishes; the core direction e_{bad} never appears in a bracket"
@@ -277,7 +275,7 @@ def claims_pipeline(
         n=n, r=r, s=s,
         Z_check=Z_check, w_check=w_check, opposition=opposition,
         commutation=mk(r3), range_membership=mk(r4), common_preimage=mk(r5),
-        U=U, rotation=A, sc_rotated=sc_rot, S_rotated=S_rot,
+        rotation=A, sc_rotated=sc_rot, S_rotated=S_rot,
         lam=lam, xi=xi, p=p,
         p_residual=p_res, t_ratio=t_ratio, t_independent=t_independent,
     )
@@ -298,8 +296,8 @@ class KahlerCertificate:
     (``t_i_independence`` stores a conditioning ratio instead: the
     smallest relative singular value of the eigenvalue tuples, large
     when they are safely independent).  ``closed`` compares
-    ``d_omega_tilde`` with ``tol_cert`` scaled by max(1, the target
-    constants' magnitude).
+    ``d_omega_tilde`` with the absolute ``tol_cert``, which suits
+    unit-scale target constants.
     """
 
     n: int
@@ -394,20 +392,19 @@ def kahlerize(
         "reality": reality,
     }
     min_eig = float(np.linalg.eigvalsh(metric)[0])
-    gate = cfg.tol_cert * max(1.0, sc_t.magnitude())
     cert = KahlerCertificate(
         n=n, r=r, s=s,
         rotation=rec.rotation, lam=lam, p=p, xi=rec.xi, psi_coeffs=psi, metric=metric,
         residuals=residuals,
         termwise_residuals=tuple(float(t) for t in termwise),
-        closed=bool(d_res <= gate), positive=min_eig > 0.0, min_eig=min_eig,
+        closed=bool(d_res <= cfg.tol_cert), positive=min_eig > 0.0, min_eig=min_eig,
         claims=rec,
     )
     if strict:
         if not cert.closed:
             names = [f"psi_{i + 1} ^ conj(psi_{i + 1})" for i in range(r)] + ["the metric block part"]
             raise CertificationError(
-                f"constructed form is not closed: residual {d_res:.3e} exceeds {gate:.1e}"
+                f"constructed form is not closed: residual {d_res:.3e} exceeds {cfg.tol_cert:.1e}"
                 f" (worst term: {names[int(np.argmax(termwise))]})"
             )
         if not cert.positive:
@@ -511,7 +508,7 @@ def generate_family(
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(p))):
         raise ParameterError("family data must be finite")
     norms = np.linalg.norm(lam, axis=0)
-    if np.any(norms <= 1e-12 * max(1.0, _max_abs(lam))):
+    if np.any(norms <= 1e-12 * _max_abs(lam)):
         bad = int(np.argmin(norms)) + 1
         raise ParameterError(f"eigenvalue tuple t_{bad} is zero")
     keys = []

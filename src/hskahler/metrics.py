@@ -240,11 +240,11 @@ class _HSSystem(NamedTuple):
 def _hs_system(sc: StructureConstants, cfg: Config) -> _HSSystem:
     """Build and factor A; it does not depend on the metric.
 
-    The pseudo-inverse cut is floored at the natural scale of the
-    system (the largest structure constant), never taken relative to
-    the matrix alone: when S drops out of the equations entirely the
-    whole matrix is roundoff noise, and a relative cut would invert
-    that noise instead of returning the plain distance to b.
+    The pseudo-inverse cut is floored at 1, the scale of unit-scale
+    constants, never taken relative to the matrix alone: when S drops
+    out of the equations entirely the whole matrix is roundoff noise,
+    and a relative cut would invert that noise instead of returning the
+    plain distance to b.
     """
     n = sc.n
     iu, ju = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))
@@ -254,7 +254,7 @@ def _hs_system(sc: StructureConstants, cfg: Config) -> _HSSystem:
     basis[cols, ju, iu] = -1.0
     A = _hs_rows(sc, basis).T
     u, s, vh = np.linalg.svd(A, full_matrices=False)
-    floor = max(float(s[0]) if s.size else 0.0, 1.0, sc.magnitude())
+    floor = max(float(s[0]) if s.size else 0.0, 1.0)
     keep = s > cfg.tol_rank * floor
     return _HSSystem(n, (iu, ju), A, u[:, keep].conj().T, s[keep], vh.conj().T[:, keep])
 

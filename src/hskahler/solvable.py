@@ -321,8 +321,6 @@ def admissible_from_frame(
     )
 
 
-
-
 # ------------------------------------------------------------ block algebra
 
 
@@ -396,13 +394,13 @@ def verify_restrictions(
     frame or the constants are wrong.  The second is the extra
     vanishing D^*_{a*} = 0 over the V range, a compact-quotient
     necessary condition; it can fail on perfectly valid inputs and is
-    reported, never raised.
+    reported, never raised.  Both are raw sup norms against the
+    absolute ``tol_alg``, which suits unit-scale constants.
     """
     cfg = _cfg(cfg)
     _same_n(dec, sc)
     r, s = dec.r, dec.s
     C, D = sc.C, sc.D
-    scale = max(1.0, sc.magnitude())
     res1 = 0.0
     # forced zeros
     res1 = max(res1, _max_abs(C[:, :r, :r]))          # C^*_{ij}
@@ -425,8 +423,8 @@ def verify_restrictions(
         res1 = max(res1, _max_abs(rel))
     res2 = _max_abs(D[:, r:s, :])
     return {
-        "restriction1": CheckResult(res1 <= cfg.tol_alg * scale, res1 / scale),
-        "restriction2": CheckResult(res2 <= cfg.tol_alg * scale, res2 / scale),
+        "restriction1": CheckResult(res1 <= cfg.tol_alg, res1),
+        "restriction2": CheckResult(res2 <= cfg.tol_alg, res2),
     }
 
 
@@ -435,7 +433,7 @@ def verify_bianchi_blocks(
 ) -> dict[str, CheckResult]:
     """The seven matrix identities forced on the blocks by Jacobi (once
     the restriction vanishings hold) for all labels x, y, z; keys
-    "C1".."C7", residuals in sup norm scaled by max(1, magnitude^2).
+    "C1".."C7", residuals in raw sup norm.
     ``sc`` must be given in the admissible frame of ``dec``."""
     cfg = _cfg(cfg)
     _same_n(dec, sc)
@@ -454,8 +452,7 @@ def verify_bianchi_blocks(
         "C6": _max_abs(A - _flip(A) + np.einsum("yij,xzj->xyzi", Z, w)),
         "C7": _max_abs(F - _flip(F) + np.einsum("yij,xzj->xyzi", D, np.conj(w))),
     }
-    scale = max(1.0, sc.magnitude() ** 2)
-    return {k: CheckResult(e / scale <= cfg.tol_alg, e / scale) for k, e in res.items()}
+    return {k: CheckResult(e <= cfg.tol_alg, e) for k, e in res.items()}
 
 
 def verify_hs_blocks(
@@ -464,7 +461,8 @@ def verify_hs_blocks(
     """Block identities coupling admissible structure constants to a
     closed-completion solution S; keys "D1".."D8" plus the summary
     system that collects their consequences ("sym1".."sym4" and the
-    middle-range "reality" line).
+    middle-range "reality" line), residuals in sup norm scaled by
+    max(1, ||S||)^2.
 
     The pairing of u with v and w is the bilinear dot product (no
     conjugation), matching the bilinear extension of the metric.
@@ -499,5 +497,5 @@ def verify_hs_blocks(
         "sym4": _max_abs(Du - Du.swapaxes(0, 1)),
         "reality": max(_max_abs(_H(Dv) - Dv), _max_abs(vv - vv.swapaxes(0, 1))),
     }
-    scale = max(1.0, max(sc.magnitude(), _max_abs(S)) ** 2)
+    scale = max(1.0, _max_abs(S)) ** 2
     return {k: CheckResult(e / scale <= cfg.tol_alg, e / scale) for k, e in res.items()}

@@ -21,7 +21,18 @@ def _run(capsys, *argv):
 def _run_json(capsys, *argv):
     code = run_command([*argv, "--json-only"])
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    rep = json.loads(out)
+    for one in rep.get("reports", [rep]):
+        _assert_implications(one)
+    return code, rep
+
+
+def _assert_implications(rep):
+    """Kähler => HS => pluriclosed, and Kähler => balanced."""
+    c = rep.get("classes")
+    if c:
+        assert not c["kahler"] or (c["hermitian_symplectic"] and c["balanced"]), c
+        assert not c["hermitian_symplectic"] or c["pluriclosed"], c
 
 
 def _record(report, check_id):
@@ -253,8 +264,8 @@ def test_verify_claims_needs_a_completion(capsys):
 
 @pytest.fixture(scope="module")
 def edge_docs(tmp_path_factory):
-    """Documents at the edges of the stage chain: failed input checks, a
-    rank cut at the scale floor, and an algebra that is not solvable."""
+    """Documents at the edges of the stage chain: failed input checks,
+    two scales 1e8 apart in one algebra, and one that is not solvable."""
     root = tmp_path_factory.mktemp("edge")
     fam = generate_family(1, 3, seed=3)
     D = fam.sc.D.copy()
@@ -267,6 +278,7 @@ def edge_docs(tmp_path_factory):
         "shifted_S": (fam.sc.C, fam.sc.D, fam.g, fam.S + 0.3),
         "iwasawa_1e-5": (1e-5 * iwasawa, np.zeros_like(iwasawa), None, None),
         "iwasawa_1e-8": (1e-8 * iwasawa, np.zeros_like(iwasawa), None, None),
+        "iwasawa_plus_1e-8": (_direct_sum(iwasawa, 1e-8 * iwasawa), np.zeros((6, 6, 6)), None, None),
     }
     paths = {}
     for name, (C, D, g, S) in docs.items():
@@ -286,20 +298,28 @@ def edge_docs(tmp_path_factory):
     return paths
 
 
+def _direct_sum(A, B):
+    """Constants of the direct sum of two algebras, A's frame first."""
+    n, m = A.shape[0], B.shape[0]
+    out = np.zeros((n + m,) * 3, dtype=complex)
+    out[:n, :n, :n], out[n:, n:, n:] = A, B
+    return out
+
+
 def _failed_consistency(rep):
     return [r["check_id"] for r in rep["records"]
             if r["status"] == "fail" and r["category"] == "consistency"]
 
 
 def test_no_stage_runs_after_a_failed_consistency_record(capsys, edge_docs):
-    """Iwasawa scaled by 1e-8 admits no HS structure at any metric, but
-    its rank cuts read it as abelian, so restriction1 fails.  Neither the
+    """Iwasawa plus Iwasawa scaled by 1e-8: the rank cuts of the one gauge
+    read the small summand as abelian, so restriction1 fails.  Neither the
     closed completion at the block metric nor the construction runs."""
     unrun = ("t_independence", "kahlerize_closed", "kahlerize_positive", "block_D1")
     # kahlerize and verify-claims name what did not run, once, at the end
     for command, named in (("analyze", None), ("kahlerize", "kahlerize"),
                            ("verify-claims", "claims")):
-        code, rep = _run_json(capsys, command, edge_docs["iwasawa_1e-8"])
+        code, rep = _run_json(capsys, command, edge_docs["iwasawa_plus_1e-8"])
         assert code == 1, command
         assert _failed_consistency(rep) == ["restriction1"], command
         assert "Kähler metric constructed" not in rep["verdict"], command
@@ -311,6 +331,14 @@ def test_no_stage_runs_after_a_failed_consistency_record(capsys, edge_docs):
             last = rep["records"][-1]
             assert last["status"] == "fail" and last["category"] == "construction"
             assert last["details"] == "input fails consistency checks"
+
+
+def test_a_scaled_algebra_gets_the_verdict_of_the_unscaled_one(capsys, edge_docs):
+    for command in ("analyze", "kahlerize", "verify-claims"):
+        want = _run_json(capsys, command, "iwasawa")
+        code, rep = _run_json(capsys, command, edge_docs["iwasawa_1e-8"])
+        assert (code, rep["verdict"]) == (want[0], want[1]["verdict"]), command
+        assert not _failed_consistency(rep), command
 
 
 @pytest.mark.parametrize("name, why", [
