@@ -6,10 +6,14 @@ paper_ref, status, residual, details, category}, status pass / fail /
 not-applicable.  The stages follow the hypotheses of the construction:
 the input checks; the classes and the closed completion at the
 documented metric; the admissible frame, its restrictions and the block
-identities C1..C7; the closed completion at the block metric and
-D1..D8; then the construction (``analyze``, ``kahlerize``) or the
-structural claims (``verify-claims``).  ``hs`` is the input checks, then
-the closed completion and ``--search``.
+identities C1..C7; the closed completion in that frame and D1..D8; then
+the construction (``analyze``, ``kahlerize``) or the structural claims
+(``verify-claims``).  ``hs`` is the input checks, then the closed
+completion and ``--search``.
+
+A closed completion exists or not whatever the frame, so it is decided
+once, at the documented metric; one change of frame E_adm = E K carries
+the constants and S -> K^T S K into a built admissible frame.
 
 One gate: no stage runs after a failed consistency record.  A stage
 also stops its command where the next one's hypotheses fail (not 2-step
@@ -52,8 +56,9 @@ import numpy as np
 
 from .algebra import (
     CheckResult, Frame, RealLieAlgebra, SolvableProfile, StructureConstants, _max_abs,
-    canonical_frame, compatibility_residual, complexify_and_extract, integrability_residual,
-    realify, reconstruction_residual, solvable_profile, unimodularity_check,
+    canonical_frame, change_frame, compatibility_residual, complexify_and_extract,
+    integrability_residual, realify, reconstruction_residual, solvable_profile,
+    unimodularity_check,
 )
 from .config import Config, TOOL_VERSION, _cfg
 from .documents import AlgebraDocument
@@ -65,8 +70,8 @@ from .metrics import (
     hs_residual_of, kahler_check, pluriclosed_check, real_metric,
 )
 from .solvable import (
-    AdmissibleDecomposition, admissible_from_frame, build_admissible_frame,
-    verify_bianchi_blocks, verify_hs_blocks, verify_restrictions,
+    AdmissibleDecomposition, build_admissible_frame, verify_bianchi_blocks, verify_hs_blocks,
+    verify_restrictions,
 )
 
 _KAHLERIZE_REF = "it must admit a (left-invariant) Kähler metric"
@@ -252,10 +257,12 @@ class _Run:
     sc: StructureConstants | None = None
     g: np.ndarray | None = None
     profile: SolvableProfile | None = None
+    hs: HSSolution | None = None             # at the documented metric
     dec: AdmissibleDecomposition | None = None
+    K: np.ndarray | None = None              # E_adm = E K; None where the frame is kept
     sc_adm: StructureConstants | None = None
     restriction2: CheckResult | None = None
-    hs_adm: HSSolution | None = None
+    hs_adm: HSSolution | None = None         # hs carried into the admissible frame
     scale: float = 1.0     # the magnitude the input's constants were divided by
 
 
@@ -354,7 +361,7 @@ def _gauge(sc: StructureConstants) -> tuple[StructureConstants, float]:
 def _hs_feasible(run: _Run) -> HSSolution:
     """Decide the closed completion at the documented metric: the
     ``hs_feasible`` record and the report's ``hs`` section."""
-    sol = hs_decide(run.sc, run.g, cfg=run.cfg)
+    run.hs = sol = hs_decide(run.sc, run.g, cfg=run.cfg)
     run.rep.add(
         "hs_feasible", "there exists a skew-symmetric matrix",
         sol.feasible, sol.normalized,
@@ -426,24 +433,18 @@ def _admissible(run: _Run) -> _Why:
             details="not 2-step solvable", category="classification",
         )
         return "not 2-step solvable", None
-    alg, J, G = run.alg, run.J, run.G
-    dec = None
     try:
-        if run.doc.mode == "complex":
-            # the document's own frame might already be admissible; keeping
-            # it preserves hand-chosen block bases (and the generator's
-            # eigenvector phases), so try it before rebuilding
-            try:
-                dec, sc_adm = admissible_from_frame(alg, J, G, run.frame, cfg=cfg), run.sc
-            except StructureError:
-                pass
-        if dec is None:
-            dec = build_admissible_frame(alg, J, G, cfg=cfg)
-            sc_adm = complexify_and_extract(alg, J, dec.frame, cfg=cfg, validate=False)
+        dec = build_admissible_frame(run.alg, run.J, run.G, run.frame,
+                                     profile=run.profile, cfg=cfg)
     except (StructureError, PreconditionError) as e:
         # a consistency record: no stage runs after it
         rep.add("admissible_frame", "said to be admissible", False, None, details=str(e))
         return None
+    sc_adm = run.sc
+    if dec.frame is not run.frame:
+        # one change of frame E_adm = E K carries the constants, and later S
+        run.K = np.linalg.lstsq(run.frame.E, dec.frame.E, rcond=None)[0]
+        sc_adm = change_frame(run.sc, np.linalg.inv(run.K).T, cfg=cfg)
     run.dec, run.sc_adm = dec, sc_adm
     rep.profile["admissible"] = {"r": dec.r, "s": dec.s, "n": dec.n, "type": dec.pure_type}
     restr = verify_restrictions(dec, sc_adm, cfg=cfg)
@@ -466,9 +467,13 @@ def _admissible(run: _Run) -> _Why:
 
 
 def _completion(run: _Run) -> _Why:
-    """The closed completion at the block metric and, when there is one,
-    the block identities D1..D8 it must satisfy."""
-    run.hs_adm = sol = hs_decide(run.sc_adm, run.dec.metric, cfg=run.cfg)
+    """The closed completion at the documented metric carried into the
+    admissible frame, S -> K^T S K, and, when there is one, the block
+    identities D1..D8 it must satisfy."""
+    sol, K = run.hs, run.K
+    if sol.feasible and K is not None:
+        sol = sol._replace(S=K.T @ sol.S @ K)
+    run.hs_adm = sol
     if not sol.feasible:
         run.rep.add(
             "block_D", "so that the following hold", None, None,

@@ -14,9 +14,10 @@ complex mode
     optional dense ``S`` (a known closed-completion candidate).
 
 All indices are 1-based.  Complex scalars are written ``[re, im]``;
-plain numbers are accepted as reals.  Malformed JSON raises
-:class:`FormatError` with line and column; a structurally invalid
-document raises :class:`ValidationError` naming the offending field.
+plain numbers are accepted as reals.  Every number must be finite.
+Malformed JSON raises :class:`FormatError` with line and column; a
+structurally invalid document raises :class:`ValidationError` naming
+the offending field.
 Only shapes and encoding are validated here; mathematical properties
 (Jacobi, J^2 = -Identity, positivity) are the analysis layer's job.
 """
@@ -24,6 +25,7 @@ Only shapes and encoding are validated here; mathematical properties
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,14 +52,15 @@ def _index(v, hi: int, where: str) -> int:
 
 
 def _real_value(v, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"{where}: value {v!r} is not a real number")
+    # json reads NaN and Infinity as numbers; no check can decide on them
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ValidationError(f"{where}: value {v!r} is not a finite real number")
     return float(v)
 
 
 def _complex_value(v, where: str) -> complex:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
+        return complex(_real_value(v, where))
     if isinstance(v, list) and len(v) == 2:
         return complex(_real_value(v[0], where), _real_value(v[1], where))
     raise ValidationError(f"{where}: value {v!r} is not a number or [re, im] pair")

@@ -18,6 +18,11 @@ block-diagonal: identity on the outer blocks and
 The pure types are: I when r = 0, II when s = r (g' is J-stable),
 III when s = n; anything else is mixed.
 
+:func:`build_admissible_frame` splits once and keeps a given frame when
+every column lies in its block and the frame metric has block form:
+hand-chosen block bases and a generator's eigenvector phases survive,
+so a certificate returns the generating lam and p.
+
 In an admissible frame the structure constants develop many forced
 zeros, and the surviving blocks obey closed matrix identities plus a
 second list coupling them to a Hermitian-symplectic solution S.  This
@@ -38,6 +43,7 @@ from .algebra import (
     CheckResult,
     Frame,
     RealLieAlgebra,
+    SolvableProfile,
     StructureConstants,
     _max_abs,
     solvable_profile,
@@ -163,12 +169,11 @@ class _Geometry:
 
 @dataclass(frozen=True)
 class AdmissibleDecomposition:
-    """Splitting data plus the adapted frame built on it.
+    """Splitting data plus the adapted frame on it.
 
     ``g_mid`` is the middle Gram block g_{ab} = <e_a, conj(e_b)> over
     the V range; the full frame metric (identity outer blocks, g_mid in
-    the middle) sits in ``metric``.  Subspace matrices keep
-    G-orthonormal columns in the original real coordinates.
+    the middle) sits in ``metric``.
     """
 
     n: int
@@ -179,10 +184,6 @@ class AdmissibleDecomposition:
     frame: Frame = field(repr=False)
     g_mid: np.ndarray = field(repr=False)
     metric: FrameMetric = field(repr=False)
-    gprime: np.ndarray = field(repr=False)
-    gprime_J: np.ndarray = field(repr=False)
-    V: np.ndarray = field(repr=False)
-    W: np.ndarray = field(repr=False)
 
 
 def _pure_type(r: int, s: int, n: int) -> str:
@@ -195,16 +196,16 @@ def _pure_type(r: int, s: int, n: int) -> str:
     return "mixed"
 
 
-def _split(alg: RealLieAlgebra, Jm: np.ndarray, Gm: np.ndarray, cfg: Config):
-    """Subspace bases (whitened-then-restored) for g'_J, V, W; raises
-    when the algebra is not 2-step solvable or a block has odd size."""
-    profile = solvable_profile(alg, cfg=cfg)
+def _split(Jm: np.ndarray, Gm: np.ndarray, profile: SolvableProfile, cfg: Config):
+    """The whitened geometry, r, s, and G-orthonormal bases of g'_J, V
+    and W in the original real coordinates; raises when the algebra is
+    not 2-step solvable or a block has odd size."""
     if not profile.is_2step_solvable:
         raise PreconditionError(
             f"admissible frames need a 2-step solvable algebra; derived series dims {profile.dims}"
         )
     geo = _Geometry(Jm, Gm, cfg)
-    n = alg.dim // 2
+    n = geo.dim // 2
 
     gp = geo.span(geo.whiten(profile.commutator))
     Jgp = geo.span(geo.Jw @ gp)
@@ -223,102 +224,92 @@ def _split(alg: RealLieAlgebra, Jm: np.ndarray, Gm: np.ndarray, cfg: Config):
     if W.shape[1] != 2 * (n - s):
         raise StructureError(f"residual block has dimension {W.shape[1]}, expected {2 * (n - s)}")
     un = geo.unwhiten
-    return geo, profile, n, r, s, un(gp), un(gpJ), un(V), un(W)
+    return geo, r, s, un(gpJ), un(V), un(W)
 
 
-def _check_block_metric(g: FrameMetric, r: int, s: int, n: int) -> np.ndarray:
-    """Confirm the admissible block shape of a frame metric and return
-    the middle block; outer blocks must be the identity."""
-    gm = g.g
-    gap = max(_max_abs(gm[:r, :r] - np.eye(r)), _max_abs(gm[s:, s:] - np.eye(n - s)))
-    gap = max(gap, _max_abs(gm[:r, r:]), _max_abs(gm[r:s, s:]))
-    if r and s < n:
-        gap = max(gap, _max_abs(gm[:r, s:]))
-    mid = gm[r:s, r:s]
-    gap = max(gap, _max_abs(mid.real - np.eye(s - r) / 2.0))
+def _decompose(Gm: np.ndarray, frame: Frame, r: int, s: int, profile: SolvableProfile,
+               cfg: Config) -> AdmissibleDecomposition:
+    """The decomposition over ``frame``, whose metric must be the identity
+    on the outer blocks and Identity/2 + i A in the middle."""
+    n = frame.n
+    g = frame_metric_from_real(Gm, frame, cfg=cfg)
+    mid = g.g[r:s, r:s].copy()
+    want = np.eye(n, dtype=complex)
+    want[r:s, r:s] = np.eye(s - r) / 2.0 + 1j * mid.imag
+    gap = _max_abs(g.g - want)
     if gap > 1e-7:
         raise StructureError(f"frame metric is not in admissible block form (gap {gap:.3e})")
-    return mid.copy()
+    return AdmissibleDecomposition(n, r, s, profile.dims, _pure_type(r, s, n), frame, mid, g)
 
 
-def _matrices(J, G) -> tuple[np.ndarray, np.ndarray]:
-    Jm = J.J if hasattr(J, "J") else np.asarray(J, dtype=float)
-    Gm = G.G if hasattr(G, "G") else np.asarray(G, dtype=float)
-    return Jm, Gm
-
-
-def build_admissible_frame(
-    alg: RealLieAlgebra, J, G, *, cfg: Config | None = None
-) -> AdmissibleDecomposition:
-    """Construct an admissible frame over the metric splitting.
-
-    Basis vectors inside each block come out of a greedy J-adapted
-    orthonormalization, so the result is deterministic for fixed input.
-    """
-    cfg = _cfg(cfg)
-    Jm, Gm = _matrices(J, G)
-    geo, profile, n, r, s, gp, gpJ, V, W = _split(alg, Jm, Gm, cfg)
-    cols: list[np.ndarray] = []
-    for x in geo.j_adapted_pairs(geo.whiten(gpJ)):
-        u = geo.unwhiten(x)
-        cols.append((u - 1j * (Jm @ u)) / np.sqrt(2.0))
-    for k in range(V.shape[1]):
-        v = V[:, k]
-        cols.append((v - 1j * (Jm @ v)) / 2.0)
-    for x in geo.j_adapted_pairs(geo.whiten(W)):
-        u = geo.unwhiten(x)
-        cols.append((u - 1j * (Jm @ u)) / np.sqrt(2.0))
-    E = np.stack(cols, axis=1) if cols else np.zeros((alg.dim, 0), dtype=complex)
-    frame = Frame(E, Jm, cfg=cfg)
-    g = frame_metric_from_real(Gm, frame, cfg=cfg)
-    g_mid = _check_block_metric(g, r, s, n)
-    return AdmissibleDecomposition(
-        n=n, r=r, s=s, dims=profile.dims, pure_type=_pure_type(r, s, n),
-        frame=frame, g_mid=g_mid, metric=g,
-        gprime=gp, gprime_J=gpJ, V=V, W=W,
-    )
-
-
-def admissible_from_frame(
-    alg: RealLieAlgebra, J, G, frame: Frame, *, cfg: Config | None = None
-) -> AdmissibleDecomposition:
-    """Accept a frame that is already adapted block by block.
-
-    Each column is projected onto the subspace its position demands
-    (1..r from g'_J, then V, then W); a projection residual above 1e-7
-    or a metric outside the admissible block form raises
-    :class:`StructureError`.  Useful when rebuilding a frame would
-    scramble block bases fixed by hand.
-    """
-    cfg = _cfg(cfg)
-    Jm, Gm = _matrices(J, G)
-    geo, profile, n, r, s, gp, gpJ, V, W = _split(alg, Jm, Gm, cfg)
+def _adapted(geo: _Geometry, Jm: np.ndarray, frame: Frame, r: int, s: int, gpJ, V, W) -> Frame:
+    """``frame`` itself, once each column lies in the subspace its
+    position demands (1..r in g'_J, then V, then W); a projection
+    residual above 1e-7 raises :class:`StructureError`."""
 
     def proj_residual(u: np.ndarray, Z: np.ndarray) -> float:
         z = geo.whiten(u)
         res = z - Z @ (Z.T @ z) if Z.shape[1] else z
         return float(np.linalg.norm(res)) / max(1e-300, float(np.linalg.norm(z)))
 
-    blocks = [
-        (range(0, r), geo.span(geo.whiten(gpJ)), geo.span(geo.whiten(gpJ))),
-        (range(r, s), geo.span(geo.whiten(V)), geo.span(geo.whiten(Jm @ V))),
-        (range(s, n), geo.span(geo.whiten(W)), geo.span(geo.whiten(W))),
-    ]
-    for idx, Zre, Zim in blocks:
-        for k in idx:
-            col = frame.E[:, k]
-            bad = max(proj_residual(col.real, Zre), proj_residual(col.imag, Zim))
-            if bad > 1e-7:
-                raise StructureError(
-                    f"frame column {k + 1} is not adapted to the splitting (residual {bad:.3e})"
-                )
-    g = frame_metric_from_real(Gm, frame, cfg=cfg)
-    g_mid = _check_block_metric(g, r, s, n)
-    return AdmissibleDecomposition(
-        n=n, r=r, s=s, dims=profile.dims, pure_type=_pure_type(r, s, n),
-        frame=frame, g_mid=g_mid, metric=g,
-        gprime=gp, gprime_J=gpJ, V=V, W=W,
-    )
+    core, rest = geo.span(geo.whiten(gpJ)), geo.span(geo.whiten(W))
+    mid = geo.span(geo.whiten(V)), geo.span(geo.whiten(Jm @ V))
+    spans = [(core, core)] * r + [mid] * (s - r) + [(rest, rest)] * (frame.n - s)
+    for k, (Zre, Zim) in enumerate(spans):
+        col = frame.E[:, k]
+        bad = max(proj_residual(col.real, Zre), proj_residual(col.imag, Zim))
+        if bad > 1e-7:
+            raise StructureError(
+                f"frame column {k + 1} is not adapted to the splitting (residual {bad:.3e})"
+            )
+    return frame
+
+
+def _built(geo: _Geometry, Jm: np.ndarray, gpJ, V, W) -> Frame:
+    """A frame on the splitting; basis vectors inside each block come
+    out of a greedy J-adapted orthonormalization, so the result is
+    deterministic for fixed input."""
+
+    def pairs(Z: np.ndarray) -> list[np.ndarray]:
+        units = map(geo.unwhiten, geo.j_adapted_pairs(geo.whiten(Z)))
+        return [(u - 1j * (Jm @ u)) / np.sqrt(2.0) for u in units]
+
+    cols = pairs(gpJ) + [(v - 1j * (Jm @ v)) / 2.0 for v in V.T] + pairs(W)
+    E = np.stack(cols, axis=1) if cols else np.zeros((geo.dim, 0), dtype=complex)
+    return Frame(E, Jm, cfg=geo.cfg)
+
+
+def build_admissible_frame(
+    alg: RealLieAlgebra, J, G, frame: Frame | None = None, *,
+    profile: SolvableProfile | None = None, cfg: Config | None = None,
+) -> AdmissibleDecomposition:
+    """An admissible frame over the metric splitting: ``frame`` when it
+    is admissible already, a frame built on the splitting otherwise.
+    ``profile`` is the :func:`solvable_profile` of ``alg``, computed
+    when omitted."""
+    cfg = _cfg(cfg)
+    if profile is None:
+        profile = solvable_profile(alg, cfg=cfg)
+    Jm, Gm = np.asarray(J, dtype=float), np.asarray(G, dtype=float)
+    geo, r, s, gpJ, V, W = _split(Jm, Gm, profile, cfg)
+    if frame is not None:
+        try:
+            return _decompose(Gm, _adapted(geo, Jm, frame, r, s, gpJ, V, W), r, s, profile, cfg)
+        except StructureError:
+            pass
+    return _decompose(Gm, _built(geo, Jm, gpJ, V, W), r, s, profile, cfg)
+
+
+def admissible_from_frame(
+    alg: RealLieAlgebra, J, G, frame: Frame, *, cfg: Config | None = None
+) -> AdmissibleDecomposition:
+    """The strict form of :func:`build_admissible_frame`: a frame that
+    is not admissible raises :class:`StructureError`."""
+    cfg = _cfg(cfg)
+    profile = solvable_profile(alg, cfg=cfg)
+    Jm, Gm = np.asarray(J, dtype=float), np.asarray(G, dtype=float)
+    geo, r, s, gpJ, V, W = _split(Jm, Gm, profile, cfg)
+    return _decompose(Gm, _adapted(geo, Jm, frame, r, s, gpJ, V, W), r, s, profile, cfg)
 
 
 # ------------------------------------------------------------ block algebra

@@ -96,6 +96,19 @@ def test_analyze_missing_file_is_a_usage_error(capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("command", ["analyze", "hs", "kahlerize", "verify-claims"])
+def test_a_non_finite_constant_is_a_usage_error(capsys, tmp_path, command):
+    """The report of such a document would carry NaN residuals, which
+    is not JSON."""
+    doc = tmp_path / "nan.json"
+    doc.write_text('{"schema_version": 1, "name": "nan", "mode": "complex", "n": 2,'
+                   ' "C": [[2, 1, 2, NaN]], "D": []}')
+    code = run_command([command, str(doc), "--json-only"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "C[0]: value nan is not a finite real number" in captured.err
+
+
 def test_failing_attached_S_has_its_own_verdict(capsys, tmp_path):
     fam = generate_family(1, 3, seed=3)
     shifted = tmp_path / "shifted.json"
@@ -257,6 +270,8 @@ def test_verify_claims_needs_a_completion(capsys):
     gate = _record(rep, "claims")
     assert gate["status"] == "fail"
     assert "no closed completion" in gate["details"]
+    # one decision, at the documented metric, carried into the admissible frame
+    assert gate["residual"] == _record(rep, "hs_feasible")["residual"]
 
 
 # ----------------------------------------------------------------- the gate

