@@ -12,8 +12,8 @@ the construction (``analyze``, ``kahlerize``) or the structural claims
 completion and ``--search``.
 
 A closed completion exists or not whatever the frame, so it is decided
-once, at the documented metric; one change of frame E_adm = E K carries
-the constants and S -> K^T S K into a built admissible frame.
+once; one change of frame E_adm = E K carries the constants and
+S -> K^T S K into a built admissible frame.
 
 One gate: no stage runs after a failed consistency record.  A stage
 also stops its command where the next one's hypotheses fail (not 2-step
@@ -31,20 +31,22 @@ block identities follow from the compact-quotient hypotheses, not from
 the Jacobi identity alone, so a valid input may fail them; only
 ``verify-claims`` asks for them.
 
-One scale gauge: scaling the bracket by t gives an isomorphic algebra,
-so the input stage divides the constants by their magnitude s, the
-largest |C| or |D| (1 for zero constants; ``profile.scale``), and every
-later stage decides on the unit-scale constants.  A record reports the
-residual it was decided on: a raw sup norm, or divided by max(1, |g|)
-(metric records), max(1, |S|) (``attached_S``), max(1, |S|)^2 (D block
-identities, claims), max(1, ||b||) (``hs_feasible``) or, before the
-gauge, max |f| (real-mode Jacobi, squared, integrability and
-reconstruction).  The certificate and the claims give lam times s and
-p over s, in the document's units.  One linear map,
-:func:`hskahler.metrics.d_omega`, gives the ``kahler`` residual, the HS
-right-hand side b(g) and ``kahlerize_closed``, which is measured, like
-``kahlerize_positive``, on the certificate's metric in the document's
-own frame against the gauged constants.
+One gauge, bracket and metric together: no outcome may depend on a
+rescaling of either or on the frame.  After the input checks, g = L L^*
+(Cholesky) moves the run to the g-unitary frame E L^-T and divides the
+constants there by their magnitude s, the largest |C| or |D| (1 for zero
+constants; ``profile.scale``).  Every later stage decides there, at the
+metric Identity.  The Bianchi and dd records stay on the document's
+frame, where no change of frame amplifies input roundoff.  The report
+carries frame data back: S as L S L^T and a metric as L h L^*; the
+certificate is measured in the g-unitary frame, so ``min_eig`` is
+relative to g, and lam and p are given times s and over s.
+
+A record reports the residual it was decided on: a raw sup norm, or
+divided by max(1, |g|) (metric records, on the document's g), max(1, |S|)
+(``attached_S``), max(1, |S|)^2 (D block identities, claims),
+max(1, ||b||) (``hs_feasible``) or, before the gauge, max |f| (real-mode
+Jacobi, squared, integrability and reconstruction).
 """
 
 from __future__ import annotations
@@ -255,7 +257,7 @@ class _Run:
     G: np.ndarray | None = None
     frame: Frame | None = None
     sc: StructureConstants | None = None
-    g: np.ndarray | None = None
+    L: np.ndarray | None = None              # g = L L^*: E_unitary = E_doc L^-T
     profile: SolvableProfile | None = None
     hs: HSSolution | None = None             # at the documented metric
     dec: AdmissibleDecomposition | None = None
@@ -274,8 +276,8 @@ _Why = tuple[str, float | None] | None
 
 def _input(run: _Run) -> _Why:
     """The input checks, Jacobi through the structure equation, and the
-    scale gauge: every later stage sees the constants divided by their
-    magnitude."""
+    one gauge: every later stage sees the constants in a g-unitary frame,
+    divided by their magnitude there."""
     doc, cfg, rep = run.doc, run.cfg, run.rep
     if doc.mode == "real":
         alg, J, G = doc.build_real(cfg=cfg, validate=False)
@@ -293,43 +295,45 @@ def _input(run: _Run) -> _Why:
             rep.verdict = "input is not a consistent Hermitian instance"
             return None
         frame = canonical_frame(J, cfg=cfg)
-        sc = complexify_and_extract(alg, J, frame, cfg=cfg, validate=False)
+        raw = complexify_and_extract(alg, J, frame, cfg=cfg, validate=False)
         g = frame_metric_from_real(G, frame, cfg=cfg).g
-        recon = reconstruction_residual(alg, frame, sc) / m
+        recon = reconstruction_residual(alg, frame, raw) / m
         rep.add("reconstruction", "plumbing", recon <= cfg.tol_alg, recon)
-        sc, scale = _gauge(sc)
-        alg = RealLieAlgebra(alg.f / scale, validate=False)
     else:
-        sc, g, S_doc = doc.build_complex(cfg=cfg, validate=False)
-        sc, scale = _gauge(sc)
+        raw, g, _ = doc.build_complex(cfg=cfg, validate=False)
         _metric_records(rep, cfg, g, "metric_hermitian")
         if rep.failed():
             rep.verdict = "input is not a consistent Hermitian instance"
             return None
-        alg, J, G, frame = realify(sc.C, sc.D, g, cfg=cfg, validate=False)
-        integ = integrability_residual(alg, J)
+        alg, J, G, frame = realify(raw.C, raw.D, g, cfg=cfg, validate=False)
+        integ = integrability_residual(alg, J) / (raw.magnitude() or 1.0)
         rep.add("integrability", "the integrability condition", integ <= cfg.tol_alg, integ)
-        if S_doc is not None:
-            sres = hs_residual_of(sc, g, S_doc) / max(1.0, _max_abs(S_doc))
-            rep.add(
-                "attached_S", "there exists a skew-symmetric matrix",
-                sres <= cfg.tol_feas, sres,
-                details="the document's S against the closed-completion system",
-            )
-    rep.profile["scale"] = run.scale = scale
 
-    # two independent routes to the same identity: index sums and d on the
-    # coframe; neither is derived from the other in code
-    fams = sc.bianchi_residuals()
+    # the gauge: g = L L^*, and the frame E L^-T is g-unitary
+    run.L = L = np.linalg.cholesky((g + g.conj().T) / 2.0)
+    sc, scale = _gauge(change_frame(raw, L, cfg=cfg))
+    run.alg = RealLieAlgebra(alg.f / scale, validate=False)
+    run.frame = Frame(frame.E @ np.linalg.inv(L).T, J, cfg=cfg)
+    run.J, run.G, run.sc = J, G, sc
+    rep.profile["scale"] = run.scale = scale
+    if doc.S is not None:
+        S = np.linalg.solve(L, np.linalg.solve(L, doc.S.T).T)  # L^-1 S L^-T
+        sres = hs_residual_of(sc, np.eye(sc.n), S) / max(1.0, _max_abs(S))
+        rep.add("attached_S", "there exists a skew-symmetric matrix", sres <= cfg.tol_feas, sres,
+                details="the document's S against the closed-completion system")
+
+    # two independent routes to the same identity, on the document's frame:
+    # index sums and d on the coframe; neither is derived from the other
+    sc_doc, _ = _gauge(raw)
+    fams = sc_doc.bianchi_residuals()
     worst = max(fams.values())
     rep.add(
         "bianchi_families", "the first Bianchi identity",
         worst <= cfg.tol_jacobi, worst,
         details=" ".join(f"{k}={v:.3e}" for k, v in fams.items()),
     )
-    dd = dd_residual(sc)
+    dd = dd_residual(sc_doc)
     rep.add("dd_closure", "the (first) structure equation", dd <= cfg.tol_jacobi, dd)
-    run.alg, run.J, run.G, run.frame, run.sc, run.g = alg, J, G, frame, sc, g
     failed = {r.check_id for r in rep.failed()}
     if failed & {"bianchi_families", "dd_closure"}:
         rep.verdict = "structure constants do not define a Lie algebra"
@@ -361,7 +365,7 @@ def _gauge(sc: StructureConstants) -> tuple[StructureConstants, float]:
 def _hs_feasible(run: _Run) -> HSSolution:
     """Decide the closed completion at the documented metric: the
     ``hs_feasible`` record and the report's ``hs`` section."""
-    run.hs = sol = hs_decide(run.sc, run.g, cfg=run.cfg)
+    run.hs = sol = hs_decide(run.sc, np.eye(run.sc.n), cfg=run.cfg)
     run.rep.add(
         "hs_feasible", "there exists a skew-symmetric matrix",
         sol.feasible, sol.normalized,
@@ -373,7 +377,7 @@ def _hs_feasible(run: _Run) -> HSSolution:
         "normalized_residual": sol.normalized,
         "lstsq_residual": sol.residual,
         "rhs_norm": sol.b_norm,
-        "S": sol.S,
+        "S": None if sol.S is None else run.L @ sol.S @ run.L.T,
     }
     return sol
 
@@ -381,7 +385,7 @@ def _hs_feasible(run: _Run) -> HSSolution:
 def _classes(run: _Run) -> _Why:
     """Unimodularity, the derived series, and the metric classes and the
     closed completion at the documented metric."""
-    rep, cfg, sc, g = run.rep, run.cfg, run.sc, run.g
+    rep, cfg, sc = run.rep, run.cfg, run.sc
     uni = unimodularity_check(sc, cfg=cfg)
     rep.add("unimodularity", "is unimodular", uni.passed, uni.residual, category="classification")
 
@@ -399,9 +403,9 @@ def _classes(run: _Run) -> _Why:
         "admissible": None,
     })
 
-    kah = kahler_check(sc, g, cfg=cfg)
-    plu = pluriclosed_check(sc, g, cfg=cfg)
-    bal = balanced_check(sc, g, cfg=cfg)
+    kah = kahler_check(sc, cfg=cfg)
+    plu = pluriclosed_check(sc, cfg=cfg)
+    bal = balanced_check(sc, cfg=cfg)
     rep.add("kahler", "is Kähler", kah.passed, kah.residual, category="classification")
     rep.add("pluriclosed", "it is pluriclosed", plu.passed, plu.residual, category="classification")
     rep.add("balanced", "d(omega^(n-1)) = 0", bal.passed, bal.residual, category="classification")
@@ -575,7 +579,8 @@ def _construct(run: _Run) -> _Why:
         **{k: getattr(cert, k) for k in ("r", "s", "n", "rotation")},
         "lam": cert.lam * run.scale, "p": cert.p / run.scale, "xi": cert.xi,
         # the document's frame: h for complex documents, the real G~ for real ones
-        "metric": cert.metric if run.doc.mode == "complex" else real_metric(cert.metric, run.frame),
+        "metric": (run.L @ cert.metric @ run.L.conj().T if run.doc.mode == "complex"
+                   else real_metric(cert.metric, run.frame)),
         "t_independent": cert.claims.t_independent,
         "residuals": cert.residuals,
         "termwise_residuals": list(cert.termwise_residuals),
@@ -612,8 +617,8 @@ def _hs(run: _Run) -> _Why:
         "found": result.found,
         "best_residual": result.best_residual,
         "evals": result.evals,
-        "g": result.best_g,
-        "S": result.S,
+        "g": run.L @ result.best_g @ run.L.conj().T,
+        "S": None if result.S is None else run.L @ result.S @ run.L.T,
     }
     if result.found:
         rep.verdict += "; a different invariant metric admits one"

@@ -9,9 +9,13 @@ automatically.  The fundamental form is
 
 :func:`d_omega` gives the (2,1) part of d omega for any Hermitian h in
 place of g, linearly and with no inverse: i sum_r T^r_{ik} h_{rj}, T the
-Chern torsion, written out in C and D.  It decides the Kahler class, it
-is -2 b(g) for the right-hand side b(g) of the HS system below, and it
-checks the closure of the Kahler certificate.
+Chern torsion, written out in C and D.  It is -2 b(g) for the
+right-hand side b(g) of the HS system below, and it checks the closure
+of the Kahler certificate.
+
+The class checks take no metric: they decide in a unitary frame, where
+d omega is i T with T = :func:`chern_torsion_unitary`.  For g = L L^*,
+``change_frame(sc, L)`` gives the constants in a g-unitary frame.
 
 ``hs_decide`` answers, for fixed (C, D, g), whether a closed form
 ``Omega = omega + alpha + conj(alpha)`` with invariant (2,0) part
@@ -26,10 +30,10 @@ residual.  The matrix A of the left-hand side depends on (C, D) only
 and b(g) is linear in the metric, so :func:`hs_metric_search` factors A
 once and scores every candidate metric against that factorization.
 
-The balanced class is decided from the torsion: d(omega^(n-1))
-vanishes exactly when the Lee form theta_k = sum_j T^j_{jk} does
-(Gauduchon 1984).  The form engine is used for the pluriclosed class
-only.
+The balanced class is decided from the torsion: in a unitary frame
+the coefficients of d(omega^(n-1)) / (n-1)! are those of the Lee form
+theta_k = sum_j T^j_{jk} (Gauduchon 1984).  The form engine is used for
+the pluriclosed class only.
 """
 
 from __future__ import annotations
@@ -141,47 +145,37 @@ def d_omega(sc: StructureConstants, h) -> np.ndarray:
     return -1j * (Ch + Dh - Dh.swapaxes(-3, -2))
 
 
-def kahler_form(g, n: int | None = None) -> InvariantForm:
+def kahler_form(g) -> InvariantForm:
     """omega = i * sum g[i, j] phi_i ^ conj(phi_j)."""
     g = _as_g(g)
-    n = g.shape[0] if n is None else n
-    terms = {}
-    for i in range(n):
-        for j in range(n):
-            if g[i, j] != 0:
-                terms[((i + 1,), (j + 1,))] = 1j * g[i, j]
+    n = g.shape[0]
+    terms = {((i + 1,), (j + 1,)): 1j * g[i, j] for i in range(n) for j in range(n) if g[i, j] != 0}
     return InvariantForm(n, terms)
 
 
-def kahler_check(sc: StructureConstants, g, *, cfg: Config | None = None) -> CheckResult:
-    """d omega = 0; residual is the raw sup norm of :func:`d_omega`."""
+def kahler_check(sc: StructureConstants, *, cfg: Config | None = None) -> CheckResult:
+    """d omega = 0 in a unitary frame, where d omega is i T; residual is
+    the sup norm of the Chern torsion T."""
     cfg = _cfg(cfg)
-    res = _max_abs(d_omega(sc, _as_g(g)))
+    res = _max_abs(chern_torsion_unitary(sc))
     return CheckResult(res <= cfg.tol_alg, res)
 
 
-def pluriclosed_check(sc: StructureConstants, g, *, cfg: Config | None = None) -> CheckResult:
-    """del delbar omega = 0, raw sup norm."""
+def pluriclosed_check(sc: StructureConstants, *, cfg: Config | None = None) -> CheckResult:
+    """del delbar omega = 0 in a unitary frame, raw sup norm."""
     cfg = _cfg(cfg)
-    g = _as_g(g)
-    omega = kahler_form(g)
-    _, dbar_omega = del_and_delbar(sc, omega)
+    _, dbar_omega = del_and_delbar(sc, kahler_form(np.eye(sc.n)))
     ddbar, _ = del_and_delbar(sc, dbar_omega)
     res = ddbar.sup()
     return CheckResult(res <= cfg.tol_alg, res)
 
 
-def balanced_check(sc: StructureConstants, g, *, cfg: Config | None = None) -> CheckResult:
-    """d (omega^(n-1)) = 0, with the (n-1)! of the power divided out.
-
-    The coefficients of d(omega^(n-1)) / (n-1)! are the entries of
-    adj(g) theta, where adj(g) = det(g) g^{-1} and theta_k = sum_j T^j_{jk}
-    is the Lee form of the Chern torsion; the residual is their sup norm.
-    """
+def balanced_check(sc: StructureConstants, *, cfg: Config | None = None) -> CheckResult:
+    """d (omega^(n-1)) = 0 in a unitary frame, with the (n-1)! of the
+    power divided out: its coefficients are those of the Lee form
+    theta_k = sum_j T^j_{jk}, whose sup norm is the residual."""
     cfg = _cfg(cfg)
-    g = _as_g(g)
-    theta = np.einsum("jjk->k", chern_torsion(sc, g))
-    res = _max_abs(np.linalg.det(g) * np.linalg.solve(g, theta))
+    res = _max_abs(np.einsum("jjk->k", chern_torsion_unitary(sc)))
     return CheckResult(res <= cfg.tol_alg, res)
 
 

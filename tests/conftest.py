@@ -29,6 +29,11 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diagonal(r))
+
+
 def random_invertible(rng: np.random.Generator, n: int) -> np.ndarray:
     """Condition number kept below ~4 so roundoff stays far from tolerances."""
     u = random_unitary(rng, n)
@@ -41,6 +46,12 @@ def random_posdef(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     g = a @ a.conj().T / n + 0.5 * np.eye(n)
     return (g + g.conj().T) / 2.0
+
+
+def unitary(sc: StructureConstants, g) -> StructureConstants:
+    """The constants in a g-unitary frame, where the metric g = L L^* is
+    the identity: the frame the metric class checks decide in."""
+    return change_frame(sc, np.linalg.cholesky(np.asarray(g, dtype=complex)))
 
 
 FAMILY_GRID = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 6)]

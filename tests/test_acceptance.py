@@ -23,6 +23,7 @@ from conftest import (
     random_posdef,
     random_unitary,
     random_violator,
+    unitary,
 )
 
 from hskahler.algebra import StructureConstants, change_frame
@@ -111,7 +112,7 @@ def test_criterion_3_hs_implies_pluriclosed():
         if not sol.feasible:
             return
         cases += 1
-        if not pluriclosed_check(sc, g).passed:
+        if not pluriclosed_check(unitary(sc, g)).passed:
             counterexamples.append(tag)
 
     for r, n in FAMILY_GRID:
@@ -217,7 +218,7 @@ def test_criterion_6_trivial_fixed_points():
     rng = np.random.default_rng(106)
     lam = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     fam = generate_family(2, 5, lam, np.zeros(2))
-    assert kahler_check(fam.sc, fam.g).passed
+    assert kahler_check(unitary(fam.sc, fam.g)).passed
     dec = admissible_from_frame(fam.alg, fam.J, fam.G, fam.frame)
     cert = kahlerize(dec, fam.sc, fam.S)
     assert np.array_equal(cert.psi_coeffs, np.eye(5, dtype=complex))

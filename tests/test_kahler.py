@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    FAMILY_GRID, abelian_sc, aff_sc, catalog_doc, kt_real, random_invertible, random_unitary,
+    FAMILY_GRID, abelian_sc, aff_sc, catalog_doc, kt_real, random_invertible, random_orthogonal,
+    random_unitary,
 )
 
 from hskahler.algebra import (
@@ -436,12 +437,16 @@ def test_certificate_metric_is_stable_where_lam_and_p_are_not(rng):
         assert np.max(np.abs(m - metrics[0])) <= 1e-12 * np.max(np.abs(metrics[0]))
 
 
+def _real_basis_change(f, J, G, P):
+    """The real data in the basis b~_a = sum_x P[x, a] b_x."""
+    Pinv = np.linalg.inv(P)
+    return np.einsum("cz,zxy,xa,yb->cab", Pinv, f, P, P), Pinv @ J @ P, P.T @ G @ P
+
+
 def test_real_documents_ship_the_real_metric(rng):
     fam = generate_family(2, 5, seed=43)
     P = rng.standard_normal((10, 10)) + 3.0 * np.eye(10)
-    Pinv = np.linalg.inv(P)
-    f = np.einsum("cz,zxy,xa,yb->cab", Pinv, fam.alg.f, P, P)
-    J, G = Pinv @ fam.J @ P, P.T @ fam.G @ P
+    f, J, G = _real_basis_change(fam.alg.f, fam.J, fam.G, P)
     rep = run_kahlerize(AlgebraDocument.from_real("real", f, J, G))
     assert rep.verdict.endswith("; Kähler metric constructed")
     cert = rep.extras["certificate"]
@@ -455,7 +460,14 @@ def test_real_documents_ship_the_real_metric(rng):
     h = frame_metric_from_real(Gt, frame).g
     assert np.max(np.abs(h - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.max(np.abs(d_omega(sc, h))) <= 1e-10
-    assert np.linalg.eigvalsh(h)[0] == pytest.approx(cert["min_eig"], rel=1e-12)
+    # min_eig is relative to the documented metric: lambda_min in a g-unitary frame
+    Linv = np.linalg.inv(np.linalg.cholesky(frame_metric_from_real(G, frame).g))
+    assert np.linalg.eigvalsh(Linv @ h @ Linv.conj().T)[0] == pytest.approx(cert["min_eig"], rel=1e-12)
+    # so a further change of basis with condition number 10 leaves it alone
+    Q = random_orthogonal(rng, 10) @ np.diag(np.geomspace(1.0, 10.0, 10)) @ random_orthogonal(rng, 10)
+    moved = run_kahlerize(AlgebraDocument.from_real("moved", *_real_basis_change(f, J, G, Q)))
+    assert moved.verdict.endswith("; Kähler metric constructed")
+    assert moved.extras["certificate"]["min_eig"] == pytest.approx(cert["min_eig"], rel=1e-9)
 
 
 # ------------------------------------------------------------ family input

@@ -41,6 +41,7 @@ from conftest import (
     random_jacobi_sc,
     random_posdef,
     random_unitary,
+    unitary,
 )
 
 
@@ -104,26 +105,28 @@ def test_kahler_form_reality_and_coeffs(rng):
 def test_metric_classes_on_known_instances():
     # torus: everything passes
     sc = abelian_sc(2)
-    assert kahler_check(sc, np.eye(2)).passed
-    assert pluriclosed_check(sc, np.eye(2)).passed
-    assert balanced_check(sc, np.eye(2)).passed
+    assert kahler_check(sc).passed
+    assert pluriclosed_check(sc).passed
+    assert balanced_check(sc).passed
 
     # Kodaira-Thurston: pluriclosed but not Kahler, not balanced
     sc, g = kt_complex()
-    assert pluriclosed_check(sc, g).passed
-    assert not kahler_check(sc, g).passed
-    assert not balanced_check(sc, g).passed
+    sc = unitary(sc, g.g)
+    assert pluriclosed_check(sc).passed
+    assert not kahler_check(sc).passed
+    assert not balanced_check(sc).passed
 
     # affine algebra: nothing passes at the identity
     sc = aff_sc()
-    assert not kahler_check(sc, np.eye(2)).passed
-    assert not pluriclosed_check(sc, np.eye(2)).passed
-    assert not balanced_check(sc, np.eye(2)).passed
+    assert not kahler_check(sc).passed
+    assert not pluriclosed_check(sc).passed
+    assert not balanced_check(sc).passed
 
     # family instances are pluriclosed, not Kahler for generic p
     fam = generate_family(2, 5, seed=3)
-    assert pluriclosed_check(fam.sc, fam.g).passed
-    assert not kahler_check(fam.sc, fam.g).passed
+    sc = unitary(fam.sc, fam.g)
+    assert pluriclosed_check(sc).passed
+    assert not kahler_check(sc).passed
 
 
 def kahler_reference(sc, g) -> float:
@@ -167,11 +170,13 @@ def random_pairs(rng, count):
 
 
 def test_kahler_and_balanced_match_the_form_engine(rng):
+    """In a g-unitary frame the checks equal the form engine at g = Identity."""
     pairs = list(catalog_pairs()) + list(random_pairs(rng, 200))
     for sc, g in pairs:
+        sc = unitary(sc, g)
         for check, reference in ((kahler_check, kahler_reference), (balanced_check, balanced_reference)):
-            ref = reference(sc, g)
-            res = check(sc, g).residual
+            ref = reference(sc, np.eye(sc.n))
+            res = check(sc).residual
             assert abs(res - ref) <= 1e-12 * ref or res == ref == 0.0, (check.__name__, sc.n)
 
 
@@ -233,7 +238,8 @@ def test_balanced_equals_kahler_in_complex_dim_two():
     """For n = 2 the (n-1)-th power is omega itself, so balanced and
     Kahler coincide; a quick consistency check of the power handling."""
     fam = generate_family(1, 2, seed=1)
-    assert balanced_check(fam.sc, fam.g).passed == kahler_check(fam.sc, fam.g).passed
+    sc = unitary(fam.sc, fam.g)
+    assert balanced_check(sc).passed == kahler_check(sc).passed
 
 
 def test_hs_torus_and_kahler_implies_zero_S():
@@ -245,7 +251,7 @@ def test_hs_torus_and_kahler_implies_zero_S():
 
     fam = generate_family(2, 5, seed=8, p=np.zeros(2), lam=None)
     # p = 0 makes the instance Kahler, hence S = 0 is the minimum-norm solution
-    assert kahler_check(fam.sc, fam.g).passed
+    assert kahler_check(unitary(fam.sc, fam.g)).passed
     sol = hs_decide(fam.sc, fam.g)
     assert sol.feasible
     assert np.max(np.abs(sol.S)) <= 1e-12
