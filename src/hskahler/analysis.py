@@ -68,8 +68,8 @@ from .errors import CertificationError, ClaimViolation, PreconditionError, Struc
 from .forms import dd_residual
 from .kahler import ClaimsRecord, claims_pipeline, kahlerize
 from .metrics import (
-    HSSolution, balanced_check, frame_metric_from_real, hs_decide, hs_metric_search,
-    hs_residual_of, kahler_check, pluriclosed_check, real_metric,
+    HSSolution, _hs_system, _HSSystem, balanced_check, frame_metric_from_real, hs_decide,
+    hs_metric_search, hs_residual_of, kahler_check, pluriclosed_check, real_metric,
 )
 from .solvable import (
     AdmissibleDecomposition, build_admissible_frame, verify_bianchi_blocks, verify_hs_blocks,
@@ -260,6 +260,7 @@ class _Run:
     L: np.ndarray | None = None              # g = L L^*: E_unitary = E_doc L^-T
     profile: SolvableProfile | None = None
     hs: HSSolution | None = None             # at the documented metric
+    hs_system: _HSSystem | None = None       # its factored matrix, shared with --search
     dec: AdmissibleDecomposition | None = None
     K: np.ndarray | None = None              # E_adm = E K; None where the frame is kept
     sc_adm: StructureConstants | None = None
@@ -365,7 +366,8 @@ def _gauge(sc: StructureConstants) -> tuple[StructureConstants, float]:
 def _hs_feasible(run: _Run) -> HSSolution:
     """Decide the closed completion at the documented metric: the
     ``hs_feasible`` record and the report's ``hs`` section."""
-    run.hs = sol = hs_decide(run.sc, np.eye(run.sc.n), cfg=run.cfg)
+    run.hs_system = _hs_system(run.sc, run.cfg)
+    run.hs = sol = hs_decide(run.sc, np.eye(run.sc.n), cfg=run.cfg, system=run.hs_system)
     run.rep.add(
         "hs_feasible", "there exists a skew-symmetric matrix",
         sol.feasible, sol.normalized,
@@ -607,7 +609,8 @@ def _hs(run: _Run) -> _Why:
         )
         return None
     restarts, budget = run.search
-    result = hs_metric_search(run.sc, restarts=restarts, budget=budget, seed=run.cfg.seed, cfg=run.cfg)
+    result = hs_metric_search(run.sc, restarts=restarts, budget=budget, seed=run.cfg.seed,
+                              cfg=run.cfg, system=run.hs_system)
     rep.add(
         "hs_search", "it suffices to consider invariant metrics",
         result.found, result.best_residual,

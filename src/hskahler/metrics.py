@@ -25,10 +25,13 @@ the skew matrix S:
   (a)  sum_r ( S_{ri} C^r_{jk} + S_{rj} C^r_{ki} + S_{rk} C^r_{ij} ) = 0
   (b)  sum_r ( S_{rk} conj(D^i_{rj}) - S_{ri} conj(D^k_{rj}) ) = b(g)_{ikj}
 
-over all index triples.  Feasibility is read off the least-squares
-residual.  The matrix A of the left-hand side depends on (C, D) only
-and b(g) is linear in the metric, so :func:`hs_metric_search` factors A
-once and scores every candidate metric against that factorization.
+over the index triples.  Family (a) is antisymmetric in (i, j, k) and
+(b) in (i, k), so only the distinct triples i < j < k and (i < k, j)
+are kept, weighted sqrt(6) and sqrt(2): the least-squares residual is
+the one over all triples, and feasibility is read off it.  The matrix A
+of the left-hand side depends on (C, D) only and b(g) is linear in the
+metric, so :func:`hs_metric_search` factors A once and scores every
+candidate metric against that factorization.
 
 The balanced class is decided from the torsion: in a unitary frame
 the coefficients of d(omega^(n-1)) / (n-1)! are those of the Lee form
@@ -38,6 +41,7 @@ the pluriclosed class only.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -193,40 +197,44 @@ class HSSolution(NamedTuple):
 
 
 def _hs_rows(sc: StructureConstants, S: np.ndarray) -> np.ndarray:
-    """Left-hand sides of both HS equation families, flattened, for each
-    matrix of the stack S (shape (m, n, n)); returns shape (m, 2 n^3).
+    """Left-hand sides of both HS equation families on their distinct
+    rows, unweighted, for each matrix of the stack S (shape (m, n, n));
+    returns shape (m, C(n,3) + n C(n,2)).
 
     With P[a, b, c] = sum_r S_{ra} C^r_{bc} and
     Q[a, i, j] = sum_r S_{ra} conj(D^i_{rj}), family (a) at (i, j, k) is
-    P[i, j, k] + P[j, k, i] + P[k, i, j], and family (b) at (i, k, j) is
-    Q[k, i, j] - Q[i, k, j].
+    P[i, j, k] + P[j, k, i] + P[k, i, j], kept at i < j < k, and family
+    (b) at (i, k, j) is Q[k, i, j] - Q[i, k, j], kept at i < k, then j.
+    C is exactly antisymmetric, so the other rows are signed copies or 0.
     """
     n, m = sc.n, S.shape[0]
     St = S.swapaxes(1, 2)
+    lt = np.triu(np.ones((n, n), dtype=bool), 1)
+    (i, j, k), (iu, ju) = np.nonzero(lt[:, :, None] & lt), np.nonzero(lt)
     P = (St @ sc.C.reshape(n, n * n)).reshape(m, n, n, n)
+    fam_a = P[:, i, j, k] + P[:, j, k, i] + P[:, k, i, j]
+    del P  # P and Q are m n^3 each, 8 MB at n = 16; do not hold both
     Q = (St @ np.conj(sc.D).swapaxes(0, 1).reshape(n, n * n)).reshape(m, n, n, n)
-    # summed in place: at n = 16 the temporaries of a plain sum raise the
-    # peak memory of analyze by about 14 MB
-    rows = np.empty((m, 2, n, n, n), dtype=complex)
-    np.add(P, P.transpose(0, 3, 1, 2), out=rows[:, 0])
-    rows[:, 0] += P.transpose(0, 2, 3, 1)
-    np.subtract(Q.transpose(0, 2, 1, 3), Q, out=rows[:, 1])
-    return rows.reshape(m, 2 * n**3)
+    fam_b = (Q[:, ju, iu] - Q[:, iu, ju]).reshape(m, iu.size * n)
+    return np.concatenate([fam_a, fam_b], axis=1)
 
 
-def _hs_rhs(sc: StructureConstants, g: np.ndarray) -> np.ndarray:
-    b = -0.5 * d_omega(sc, g)
-    return np.concatenate([np.zeros(sc.n**3, dtype=complex), b.ravel()])
+def _hs_rhs(sc: StructureConstants, g: np.ndarray, pairs) -> np.ndarray:
+    """b(g) on the family (b) rows of :func:`_hs_rows`, at (i, k, j) for
+    the pairs (i, k); on the family (a) rows the right-hand side is 0."""
+    return -0.5 * d_omega(sc, g)[pairs].ravel()
 
 
 class _HSSystem(NamedTuple):
     """The matrix A over the skew basis S_(pq) = E_pq - E_qp (p < q) with
-    the kept part of its SVD, A ~ u diag(s) vh."""
+    the kept part of its SVD, A ~ u diag(s) vh.  A holds the rows of
+    :func:`_hs_rows` times sqrt(6) and sqrt(2), the square roots of their
+    numbers of copies, so norms and the solution are the full system's."""
 
     n: int
     pairs: tuple[np.ndarray, np.ndarray]   # (p, q) of each column of A
     A: np.ndarray
-    uh: np.ndarray         # u^* of the kept singular directions
+    uh: np.ndarray         # u^* of the kept singular directions, family (b) rows
     s: np.ndarray
     v: np.ndarray
 
@@ -240,35 +248,37 @@ def _hs_system(sc: StructureConstants, cfg: Config) -> _HSSystem:
     and a relative cut would invert that noise instead of returning the
     plain distance to b.
     """
-    n = sc.n
-    iu, ju = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))
-    basis = np.zeros((iu.size, n, n), dtype=complex)
-    cols = np.arange(iu.size)
-    basis[cols, iu, ju] = 1.0
-    basis[cols, ju, iu] = -1.0
-    A = _hs_rows(sc, basis).T
+    n, t = sc.n, math.comb(sc.n, 3)
+    iu, ju = np.triu_indices(n, 1)
+    basis = np.eye(n)[iu, :, None] * np.eye(n)[ju, None, :]
+    A = _hs_rows(sc, basis - basis.swapaxes(1, 2)).T
+    A[:t] *= np.sqrt(6.0)
+    A[t:] *= np.sqrt(2.0)
     u, s, vh = np.linalg.svd(A, full_matrices=False)
-    floor = max(float(s[0]) if s.size else 0.0, 1.0)
-    keep = s > cfg.tol_rank * floor
-    return _HSSystem(n, (iu, ju), A, u[:, keep].conj().T, s[keep], vh.conj().T[:, keep])
+    keep = s > cfg.tol_rank * max(float(s[0]) if s.size else 0.0, 1.0)
+    return _HSSystem(n, (iu, ju), A, u[t:, keep].conj().T, s[keep], vh.conj().T[:, keep])
 
 
 def _hs_solve(system: _HSSystem, b: np.ndarray, cfg: Config) -> HSSolution:
+    """Solve at b from :func:`_hs_rhs`, weighted here like the rows of A."""
+    b = math.sqrt(2.0) * b
     sol = system.v @ ((system.uh @ b) / system.s)
-    res = float(np.linalg.norm(system.A @ sol - b))
+    r = system.A @ sol
+    r[math.comb(system.n, 3) :] -= b
+    res = float(np.linalg.norm(r))
     b_norm = float(np.linalg.norm(b))
     normalized = res / max(1.0, b_norm)
     feasible = normalized <= cfg.tol_feas
     S = None
     if feasible:
-        iu, ju = system.pairs
         S = np.zeros((system.n, system.n), dtype=complex)
-        S[iu, ju] = sol
-        S[ju, iu] = -sol
+        S[system.pairs] = sol
+        S[system.pairs[::-1]] = -sol
     return HSSolution(feasible, S, res, b_norm, normalized)
 
 
-def hs_decide(sc: StructureConstants, g, *, cfg: Config | None = None) -> HSSolution:
+def hs_decide(sc: StructureConstants, g, *, cfg: Config | None = None,
+              system: _HSSystem | None = None) -> HSSolution:
     """Decide existence of an invariant closed completion of omega.
 
     Solves the least-squares problem over skew matrices S and declares
@@ -276,19 +286,18 @@ def hs_decide(sc: StructureConstants, g, *, cfg: Config | None = None) -> HSSolu
     ``cfg.tol_feas * max(1, ||b||_2)``.  On feasible instances the
     minimum-norm S is returned (exactly skew); in particular b = 0, as
     for any Kahler pair, yields S = 0.  Infeasibility is a result, not
-    an error.
+    an error.  ``system``, the factored matrix of sc, is built if omitted.
     """
     cfg = _cfg(cfg)
-    return _hs_solve(_hs_system(sc, cfg), _hs_rhs(sc, _as_g(g)), cfg)
+    system = _hs_system(sc, cfg) if system is None else system
+    return _hs_solve(system, _hs_rhs(sc, _as_g(g), system.pairs), cfg)
 
 
 def hs_residual_of(sc: StructureConstants, g, S) -> float:
     """Sup-norm defect of both HS equation families at a candidate S."""
-    g = _as_g(g)
-    S = np.asarray(S, dtype=complex)
-    lhs = _hs_rows(sc, S[None])[0]
-    rhs = _hs_rhs(sc, g)
-    return _max_abs(lhs - rhs)
+    lhs = _hs_rows(sc, np.asarray(S, dtype=complex)[None])[0]
+    lhs[math.comb(sc.n, 3) :] -= _hs_rhs(sc, _as_g(g), np.triu_indices(sc.n, 1))
+    return _max_abs(lhs)
 
 
 def hs_form(S, n: int | None = None) -> InvariantForm:
@@ -320,6 +329,7 @@ def hs_metric_search(
     budget: int = 500,
     seed: int = 0,
     cfg: Config | None = None,
+    system: _HSSystem | None = None,
 ) -> HSSearchResult:
     """Search over frame metrics for one admitting a closed completion.
 
@@ -333,13 +343,13 @@ def hs_metric_search(
     runs for at most ``budget`` objective evaluations per restart;
     restart 0 starts exactly at L = Identity.  The objective is the
     normalized least-squares residual of :func:`hs_decide`, scored
-    against one factorization of the metric-independent matrix A, so a
-    hit means feasibility at a well-conditioned g; a miss proves nothing.
+    against one factorization ``system`` of the metric-free matrix A, so
+    a hit means feasibility at a well-conditioned g; a miss proves nothing.
     """
     cfg = _cfg(cfg)
     n = sc.n
     m = 2 * n * n
-    system = _hs_system(sc, cfg)
+    system = _hs_system(sc, cfg) if system is None else system
 
     def unpack(x: np.ndarray) -> np.ndarray:
         L = x[: n * n].reshape(n, n) + 1j * x[n * n :].reshape(n, n)
@@ -356,7 +366,7 @@ def hs_metric_search(
         g = unpack(x)
         if g is None:
             return float("inf"), None
-        dec = _hs_solve(system, _hs_rhs(sc, g), cfg)
+        dec = _hs_solve(system, _hs_rhs(sc, g, system.pairs), cfg)
         return dec.normalized, dec
 
     best = HSSearchResult(False, np.eye(n, dtype=complex), None, float("inf"), 0)

@@ -219,19 +219,86 @@ def per_basis_matrix(sc) -> np.ndarray:
     return np.stack(cols, axis=1) if cols else np.zeros((2 * sc.n**3, 0), dtype=complex)
 
 
-def test_hs_matrix_equals_the_per_basis_stack(rng):
-    for sc, _ in list(catalog_pairs()) + list(random_pairs(rng, 100)):
+def distinct_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the distinct rows in the layout of :func:`per_basis_matrix`,
+    family (a) at i < j < k then family (b) at (i < k, j), and the number
+    of copies of each up to sign, sqrt(6) and sqrt(2) as weights."""
+    r = np.arange(n)
+    i, j, k = np.nonzero((r[:, None, None] < r[None, :, None]) & (r[None, :, None] < r[None, None, :]))
+    iu, ku = np.triu_indices(n, 1)
+    fam_b = n**3 + ((iu * n + ku)[:, None] * n + r[None, :]).ravel()
+    rows = np.concatenate([(i * n + j) * n + k, fam_b]).astype(int)
+    w = np.concatenate([np.full(i.size, np.sqrt(6.0)), np.full(fam_b.size, np.sqrt(2.0))])
+    return rows, w
+
+
+def full_row_solve(sc, g):
+    """The HS least-squares problem on all 2 n^3 rows, with the same rank cut."""
+    A = per_basis_matrix(sc)
+    b = np.concatenate([np.zeros(sc.n**3), -0.5 * d_omega(sc, g).ravel()])
+    u, s, vh = np.linalg.svd(A, full_matrices=False)
+    keep = s > DEFAULT_CONFIG.tol_rank * max(float(s[0]) if s.size else 0.0, 1.0)
+    x = vh[keep].conj().T @ ((u[:, keep].conj().T @ b) / s[keep])
+    res, b_norm = float(np.linalg.norm(A @ x - b)), float(np.linalg.norm(b))
+    return x, res, b_norm, res / max(1.0, b_norm)
+
+
+def test_hs_matrix_is_the_weighted_distinct_rows_of_the_per_basis_stack(rng):
+    """The kept rows carry the full system: the same Gram matrix, residual,
+    right-hand side norm and minimum-norm S as a solve on every row."""
+    for sc, g in list(catalog_pairs()) + list(random_pairs(rng, 100)):
+        full = per_basis_matrix(sc)
+        rows, w = distinct_rows(sc.n)
         A = _hs_system(sc, DEFAULT_CONFIG).A
-        assert A.shape == (2 * sc.n**3, sc.n * (sc.n - 1) // 2)
-        np.testing.assert_array_equal(A, per_basis_matrix(sc))
+        scale = max(1.0, np.max(np.abs(full), initial=0.0))
+        np.testing.assert_allclose(A, w[:, None] * full[rows], rtol=0, atol=1e-15 * scale)
+        gram = full.conj().T @ full
+        np.testing.assert_allclose(A.conj().T @ A, gram, rtol=0,
+                                   atol=1e-12 * max(1.0, np.max(np.abs(gram), initial=0.0)))
+        x, res, b_norm, normalized = full_row_solve(sc, g)
+        sol = hs_decide(sc, g)
+        assert sol.residual == pytest.approx(res, rel=1e-12, abs=1e-12)
+        assert sol.b_norm == pytest.approx(b_norm, rel=1e-12, abs=1e-12)
+        assert sol.normalized == pytest.approx(normalized, rel=1e-12, abs=1e-12)
+        assert sol.feasible == (normalized <= DEFAULT_CONFIG.tol_feas)
+        if sol.feasible:
+            np.testing.assert_allclose(sol.S[np.triu_indices(sc.n, 1)], x, rtol=0,
+                                       atol=1e-12 * max(1.0, np.max(np.abs(x), initial=0.0)))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_hs_matrix_keeps_only_the_distinct_rows(n, rng):
+    """A memory guard: C(n,3) + n C(n,2) rows, (2480, 120) at n = 16,
+    where the full system has 2 n^3 = 8192."""
+    C = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    D = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    A = _hs_system(StructureConstants(C, D, validate=False), DEFAULT_CONFIG).A
+    assert A.shape == (math.comb(n, 3) + n * math.comb(n, 2), math.comb(n, 2))
 
 
 def test_hs_rows_of_one_matrix_match_the_stack(rng):
     sc = random_jacobi_sc(rng)
-    S = rng.standard_normal((sc.n, sc.n)) + 1j * rng.standard_normal((sc.n, sc.n))
-    S = S - S.T
+    S = rng.standard_normal((3, sc.n, sc.n)) + 1j * rng.standard_normal((3, sc.n, sc.n))
+    S = S - S.swapaxes(1, 2)
     iu, ju = np.triu_indices(sc.n, 1)
-    np.testing.assert_allclose(_hs_rows(sc, S[None])[0], per_basis_matrix(sc) @ S[iu, ju], atol=1e-12)
+    rows, _ = distinct_rows(sc.n)
+    stack = _hs_rows(sc, S)
+    for t in range(3):
+        want = (per_basis_matrix(sc) @ S[t, iu, ju])[rows]
+        np.testing.assert_allclose(_hs_rows(sc, S[t][None])[0], want, atol=1e-12)
+        np.testing.assert_allclose(stack[t], want, atol=1e-12)
+
+
+def test_hs_residual_of_is_the_sup_over_all_rows(rng):
+    """The dropped rows repeat kept ones up to sign, so the sup norm over
+    the distinct rows is the sup norm over all 2 n^3."""
+    for sc, g in list(catalog_pairs()) + list(random_pairs(rng, 50)):
+        S = rng.standard_normal((sc.n, sc.n)) + 1j * rng.standard_normal((sc.n, sc.n))
+        S = S - S.T
+        iu, ju = np.triu_indices(sc.n, 1)
+        b = np.concatenate([np.zeros(sc.n**3), -0.5 * d_omega(sc, g).ravel()])
+        want = np.max(np.abs(per_basis_matrix(sc) @ S[iu, ju] - b), initial=0.0)
+        assert hs_residual_of(sc, g, S) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_balanced_equals_kahler_in_complex_dim_two():

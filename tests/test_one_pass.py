@@ -88,6 +88,17 @@ def test_each_command_derives_everything_once(monkeypatch, capsys, tmp_path, com
     capsys.readouterr()
 
 
+def test_hs_search_scores_against_the_system_of_the_documented_metric(monkeypatch, capsys):
+    """``hs --search`` on an infeasible document builds and factors the
+    HS matrix once, for the ``hs_feasible`` record and the search."""
+    calls: dict = {}
+    _count_calls(monkeypatch, hskahler.metrics, "_hs_system", calls)
+    assert run_command(["hs", "iwasawa", "--search", "--budget", "50", "--json-only"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["extras"]["hs_search"]["found"] is False
+    assert calls == {"_hs_system": 1}
+
+
 @pytest.mark.parametrize("doc", [*CATALOG, "reframed", "real"])
 def test_the_carried_completion_matches_the_deleted_route(doc):
     doc = {"reframed": _reframed, "real": lambda: _real(2, 5, 12)[0]}.get(doc, lambda: catalog_doc(doc))()
