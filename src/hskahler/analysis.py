@@ -13,7 +13,8 @@ completion and ``--search``.
 
 A closed completion exists or not whatever the frame, so it is decided
 once; one change of frame E_adm = E K carries the constants and
-S -> K^T S K into a built admissible frame.
+S -> K^T S K into the admissible frame.  K, one n x n matrix over the
+g-unitary frame E, is the only frame the stages carry.
 
 One gate: no stage runs after a failed consistency record.  A stage
 also stops its command where the next one's hypotheses fail (not 2-step
@@ -36,11 +37,14 @@ rescaling of either or on the frame.  After the input checks, g = L L^*
 (Cholesky) moves the run to the g-unitary frame E L^-T and divides the
 constants there by their magnitude s, the largest |C| or |D| (1 for zero
 constants; ``profile.scale``).  Every later stage decides there, at the
-metric Identity.  The Bianchi and dd records stay on the document's
-frame, where no change of frame amplifies input roundoff.  The report
-carries frame data back: S as L S L^T and a metric as L h L^*; the
-certificate is measured in the g-unitary frame, so ``min_eig`` is
-relative to g, and lam and p are given times s and over s.
+metric Identity; the derived series and the admissible split read the
+one realification of those constants, where G = Identity and J is
+standard, and so does complex mode's integrability record.  The Bianchi
+and dd records stay on the document's frame, where no change of frame
+amplifies input roundoff.  The report carries frame data back: S as
+L S L^T and a metric as L h L^*; the certificate is measured in the
+g-unitary frame, so ``min_eig`` is relative to g, and lam and p are
+given times s and over s.
 
 A record reports the residual it was decided on: a raw sup norm, or
 divided by max(1, |g|) (metric records, on the document's g), max(1, |S|)
@@ -252,17 +256,14 @@ class _Run:
     cfg: Config
     rep: AnalysisReport
     search: tuple[int, int] | None = None  # hs --search: (restarts, budget)
-    alg: RealLieAlgebra | None = None
-    J: np.ndarray | None = None
-    G: np.ndarray | None = None
-    frame: Frame | None = None
+    frame: Frame | None = None               # the document's frame, in real mode
     sc: StructureConstants | None = None
+    alg: RealLieAlgebra | None = None        # the realification of sc: G = Identity
     L: np.ndarray | None = None              # g = L L^*: E_unitary = E_doc L^-T
     profile: SolvableProfile | None = None
     hs: HSSolution | None = None             # at the documented metric
     hs_system: _HSSystem | None = None       # its factored matrix, shared with --search
-    dec: AdmissibleDecomposition | None = None
-    K: np.ndarray | None = None              # E_adm = E K; None where the frame is kept
+    dec: AdmissibleDecomposition | None = None   # E_adm = E_unitary dec.K
     sc_adm: StructureConstants | None = None
     restriction2: CheckResult | None = None
     hs_adm: HSSolution | None = None         # hs carried into the admissible frame
@@ -278,7 +279,7 @@ _Why = tuple[str, float | None] | None
 def _input(run: _Run) -> _Why:
     """The input checks, Jacobi through the structure equation, and the
     one gauge: every later stage sees the constants in a g-unitary frame,
-    divided by their magnitude there."""
+    divided by their magnitude there, and their realification."""
     doc, cfg, rep = run.doc, run.cfg, run.rep
     if doc.mode == "real":
         alg, J, G = doc.build_real(cfg=cfg, validate=False)
@@ -295,7 +296,7 @@ def _input(run: _Run) -> _Why:
         if rep.failed():
             rep.verdict = "input is not a consistent Hermitian instance"
             return None
-        frame = canonical_frame(J, cfg=cfg)
+        run.frame = frame = canonical_frame(J, cfg=cfg)
         raw = complexify_and_extract(alg, J, frame, cfg=cfg, validate=False)
         g = frame_metric_from_real(G, frame, cfg=cfg).g
         recon = reconstruction_residual(alg, frame, raw) / m
@@ -306,16 +307,16 @@ def _input(run: _Run) -> _Why:
         if rep.failed():
             rep.verdict = "input is not a consistent Hermitian instance"
             return None
-        alg, J, G, frame = realify(raw.C, raw.D, g, cfg=cfg, validate=False)
-        integ = integrability_residual(alg, J) / (raw.magnitude() or 1.0)
-        rep.add("integrability", "the integrability condition", integ <= cfg.tol_alg, integ)
 
-    # the gauge: g = L L^*, and the frame E L^-T is g-unitary
+    # the gauge: g = L L^*, and the frame E L^-T is g-unitary; its
+    # realification has G = Identity and the standard J
     run.L = L = np.linalg.cholesky((g + g.conj().T) / 2.0)
     sc, scale = _gauge(change_frame(raw, L, cfg=cfg))
-    run.alg = RealLieAlgebra(alg.f / scale, validate=False)
-    run.frame = Frame(frame.E @ np.linalg.inv(L).T, J, cfg=cfg)
-    run.J, run.G, run.sc = J, G, sc
+    run.alg, J, _, _ = realify(sc.C, sc.D, cfg=cfg, validate=False)
+    if doc.mode == "complex":
+        integ = integrability_residual(run.alg, J)
+        rep.add("integrability", "the integrability condition", integ <= cfg.tol_alg, integ)
+    run.sc = sc
     rep.profile["scale"] = run.scale = scale
     if doc.S is not None:
         S = np.linalg.solve(L, np.linalg.solve(L, doc.S.T).T)  # L^-1 S L^-T
@@ -440,17 +441,13 @@ def _admissible(run: _Run) -> _Why:
         )
         return "not 2-step solvable", None
     try:
-        dec = build_admissible_frame(run.alg, run.J, run.G, run.frame,
-                                     profile=run.profile, cfg=cfg)
+        dec = build_admissible_frame(run.sc, profile=run.profile, cfg=cfg)
     except (StructureError, PreconditionError) as e:
         # a consistency record: no stage runs after it
         rep.add("admissible_frame", "said to be admissible", False, None, details=str(e))
         return None
-    sc_adm = run.sc
-    if dec.frame is not run.frame:
-        # one change of frame E_adm = E K carries the constants, and later S
-        run.K = np.linalg.lstsq(run.frame.E, dec.frame.E, rcond=None)[0]
-        sc_adm = change_frame(run.sc, np.linalg.inv(run.K).T, cfg=cfg)
+    # one change of frame E_adm = E K carries the constants, and later S
+    sc_adm = change_frame(run.sc, np.linalg.inv(dec.K).T, cfg=cfg)
     run.dec, run.sc_adm = dec, sc_adm
     rep.profile["admissible"] = {"r": dec.r, "s": dec.s, "n": dec.n, "type": dec.pure_type}
     restr = verify_restrictions(dec, sc_adm, cfg=cfg)
@@ -476,8 +473,8 @@ def _completion(run: _Run) -> _Why:
     """The closed completion at the documented metric carried into the
     admissible frame, S -> K^T S K, and, when there is one, the block
     identities D1..D8 it must satisfy."""
-    sol, K = run.hs, run.K
-    if sol.feasible and K is not None:
+    sol, K = run.hs, run.dec.K
+    if sol.feasible:
         sol = sol._replace(S=K.T @ sol.S @ K)
     run.hs_adm = sol
     if not sol.feasible:
@@ -551,8 +548,7 @@ def _construct(run: _Run) -> _Why:
     if rep.command == "analyze" and rep.classes["kahler"]:
         return None
     try:
-        cert = kahlerize(run.dec, run.sc_adm, sol.S, cfg=cfg, strict=False,
-                         target=(run.frame, run.sc))
+        cert = kahlerize(run.dec, run.sc_adm, sol.S, cfg=cfg, strict=False)
     except (ClaimViolation, StructureError, PreconditionError, CertificationError) as e:
         if isinstance(e, ClaimViolation):
             _claim_records(rep, e)
@@ -577,12 +573,12 @@ def _construct(run: _Run) -> _Why:
         "kahlerize_positive", "g-tilde is Kähler", cert.positive, None,
         details=f"min eigenvalue {cert.min_eig:.6g}", category="classification",
     )
+    metric = run.L @ cert.metric @ run.L.conj().T   # in the document's frame
     rep.extras["certificate"] = {
         **{k: getattr(cert, k) for k in ("r", "s", "n", "rotation")},
         "lam": cert.lam * run.scale, "p": cert.p / run.scale, "xi": cert.xi,
-        # the document's frame: h for complex documents, the real G~ for real ones
-        "metric": (run.L @ cert.metric @ run.L.conj().T if run.doc.mode == "complex"
-                   else real_metric(cert.metric, run.frame)),
+        # h for complex documents, the real G~ for real ones
+        "metric": metric if run.frame is None else real_metric(metric, run.frame),
         "t_independent": cert.claims.t_independent,
         "residuals": cert.residuals,
         "termwise_residuals": list(cert.termwise_residuals),

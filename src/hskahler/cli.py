@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bat.add_argument("directory", help="directory of *.json documents")
     bat.add_argument("-o", "--output", metavar="FILE", default=None,
                      help="write the JSON report here instead of stdout")
-    bat.add_argument("--jobs", type=int, default=4, help="concurrent analyses")
+    bat.add_argument("--jobs", type=_at_least(1), default=4, help="concurrent analyses")
     return parser
 
 
@@ -298,7 +298,7 @@ def _cmd_batch(args: argparse.Namespace, cfg: Config) -> int:
         except (FormatError, ValidationError) as e:
             return path.stem, None, str(e)
 
-    workers = max(1, min(args.jobs, len(files)))
+    workers = min(args.jobs, len(files))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(one, files))
 

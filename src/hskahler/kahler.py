@@ -22,12 +22,12 @@ then closes the form
 
 term by term, giving an explicit invariant positive closed (1,1) form.
 It is one Hermitian matrix in any frame; the certificate gives it in
-the caller's frame, where it does not depend on the unitary freedom
-that fixes lam and p, and checks its closure with the closed-form map
-:func:`hskahler.metrics.d_omega`.  Everything here is verified
-numerically and reported as residuals; a failed construction raises
-:class:`CertificationError` rather than returning a silently wrong
-certificate.
+the unitary frame E of the admissible frame E K, where it does not
+depend on the unitary freedom that fixes lam and p, and checks its
+closure with the closed-form map :func:`hskahler.metrics.d_omega`.
+Everything here is verified numerically and reported as residuals; a
+failed construction raises :class:`CertificationError` rather than
+returning a silently wrong certificate.
 
 ``generate_family`` runs the dictionary backwards: from (lam, p) it
 emits structure constants that realize exactly this model, which makes
@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import CheckResult, Frame, StructureConstants, _max_abs, change_frame, realify
+from .algebra import CheckResult, StructureConstants, _max_abs, change_frame, realify
 from .config import Config, _cfg
 from .errors import (
     CertificationError,
@@ -55,6 +55,12 @@ from .solvable import AdmissibleDecomposition, _blocks, _same_n, _skew
 
 
 # ------------------------------------------------------ joint diagonalization
+
+
+def _canonical_order(lam: np.ndarray) -> np.ndarray:
+    """The column order of eigenvalue tuples lam[:, i]: lexicographic in
+    (Re lam[0, i], Im lam[0, i], Re lam[1, i], ...)."""
+    return np.lexsort([part for row in lam[::-1] for part in (row.imag, row.real)])
 
 
 def simultaneous_diagonalize(mats, *, cfg: Config | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -119,12 +125,7 @@ def simultaneous_diagonalize(mats, *, cfg: Config | None = None) -> tuple[np.nda
         blocks = refined
 
     lam = np.stack([np.diagonal(U.conj().T @ M @ U) for M in mats])
-    keys = []
-    for k in range(len(mats) - 1, -1, -1):
-        keys.append(lam[k].imag)
-        keys.append(lam[k].real)
-    order = np.lexsort(keys)
-    U = U[:, order]
+    U = U[:, _canonical_order(lam)]
     for i in range(r):
         j = int(np.argmax(np.abs(U[:, i])))
         ph = U[j, i]
@@ -287,8 +288,8 @@ def claims_pipeline(
 @dataclass
 class KahlerCertificate:
     """A verified invariant closed positive (1,1) form omega~, given as
-    its Hermitian coefficient matrix ``metric`` in the target frame of
-    :func:`kahlerize`.
+    its Hermitian coefficient matrix ``metric`` in the unitary frame E
+    of the admissible frame E K (K is ``dec.K`` of :func:`kahlerize`).
 
     ``psi_coeffs[k]`` holds the coefficients of psi_{k+1} in the
     rotated admissible coframe ``phi~ = A^T phi`` (A is ``rotation``);
@@ -297,7 +298,7 @@ class KahlerCertificate:
     smallest relative singular value of the eigenvalue tuples, large
     when they are safely independent).  ``closed`` compares
     ``d_omega_tilde`` with the absolute ``tol_cert``, which suits
-    unit-scale target constants.
+    unit-scale constants.
     """
 
     n: int
@@ -308,7 +309,7 @@ class KahlerCertificate:
     p: np.ndarray                   # (r,)
     xi: np.ndarray                  # (n - r, r)
     psi_coeffs: np.ndarray          # (n, n)
-    metric: np.ndarray              # (n, n) Hermitian, in the target frame
+    metric: np.ndarray              # (n, n) Hermitian, in the unitary frame
     residuals: dict[str, float]
     termwise_residuals: tuple[float, ...]
     closed: bool
@@ -324,7 +325,6 @@ def kahlerize(
     *,
     cfg: Config | None = None,
     strict: bool = True,
-    target: tuple[Frame, StructureConstants] | None = None,
 ) -> KahlerCertificate:
     """Construct and verify a closed positive completion of the metric.
 
@@ -336,12 +336,12 @@ def kahlerize(
 
     omega~ is built in the rotated admissible frame as one Hermitian
     matrix, the sum of the terms psi_i^T conj(psi_i) and the block part
-    diag(0, g_mid, Identity), and carried by congruence to ``target``:
-    a frame of the same complex structure and the constants in it
-    (``dec.frame`` and ``sc`` by default).  Closure, whole and per
-    term, and positivity are measured there, with :func:`d_omega`
-    against the target constants; unlike lam and p, the metric there
-    does not depend on the unitary freedom inside the admissible blocks.
+    diag(0, g_mid, Identity), and carried by congruence through the
+    rotation and ``dec.K`` to the unitary frame E of E_adm = E K.
+    Closure, whole and per term, and positivity are measured there, with
+    :func:`d_omega` against the constants of E; unlike lam and p, the
+    metric there does not depend on the unitary freedom inside the
+    admissible blocks.
 
     With ``strict=True`` a certificate that is not closed or fails
     positivity raises :class:`CertificationError` naming the offending
@@ -372,13 +372,13 @@ def kahlerize(
     terms = psi[:r, :, None] * np.conj(psi[:r, None, :])
     stack = np.concatenate([terms, block[None], (psi[:r].T @ np.conj(psi[:r]) + block)[None]])
 
-    # the rotated frame is E_rot = E_target K; its coframe is K^-1 phi
-    frame, sc_t = target if target is not None else (dec.frame, sc)
-    E_rot = dec.frame.E @ np.linalg.inv(rec.rotation).T
-    Kinv = np.linalg.inv(np.linalg.lstsq(frame.E, E_rot, rcond=None)[0])
-    stack = Kinv.T @ stack @ np.conj(Kinv)
+    # the rotated frame is E_rot = E K A^-T for A = rotation, so its
+    # coframe is A^T K^-1 phi; change_frame(sc, K^T) is sc back in E
+    Minv = rec.rotation.T @ np.linalg.inv(dec.K)
+    stack = Minv.T @ stack @ np.conj(Minv)
     stack = (stack + np.conj(stack.swapaxes(1, 2))) / 2.0
-    *termwise, d_res = np.max(np.abs(d_omega(sc_t, stack)), axis=(1, 2, 3))
+    sc_u = change_frame(sc, dec.K.T, cfg=cfg)
+    *termwise, d_res = np.max(np.abs(d_omega(sc_u, stack)), axis=(1, 2, 3))
     metric = stack[-1]
 
     reality = 0.0
@@ -511,11 +511,7 @@ def generate_family(
     if np.any(norms <= 1e-12 * _max_abs(lam)):
         bad = int(np.argmin(norms)) + 1
         raise ParameterError(f"eigenvalue tuple t_{bad} is zero")
-    keys = []
-    for a in range(lam.shape[0] - 1, -1, -1):
-        keys.append(lam[a].imag)
-        keys.append(lam[a].real)
-    order = np.lexsort(keys)
+    order = _canonical_order(lam)
     lam = lam[:, order]
     p = p[order]
 

@@ -18,10 +18,18 @@ block-diagonal: identity on the outer blocks and
 The pure types are: I when r = 0, II when s = r (g' is J-stable),
 III when s = n; anything else is mixed.
 
-:func:`build_admissible_frame` splits once and keeps a given frame when
-every column lies in its block and the frame metric has block form:
-hand-chosen block bases and a generator's eigenvector phases survive,
-so a certificate returns the generating lam and p.
+The split decides in a unitary frame, at G = Identity: the input is the
+constants of a g-unitary frame E, and the real algebra is their
+realification, where J is standard.  The coordinates
+z = (u[:n] + i u[n:]) / sqrt(2) of a real vector u turn J into
+multiplication by i, and the (1,0) vector (u - i J u)/sqrt(2) has the
+coefficients sqrt(2) z over E.  So g'_J and W are complex subspaces of
+C^n with unitary bases from a complex SVD, V is a real one, and the
+admissible frame is E K for one n x n matrix K, the only frame the
+stages carry.  :func:`build_admissible_frame` keeps E itself, K =
+Identity, when it is admissible already: hand-chosen block bases and a
+generator's eigenvector phases survive, so a certificate returns the
+generating lam and p.
 
 In an admissible frame the structure constants develop many forced
 zeros, and the surviving blocks obey closed matrix identities plus a
@@ -41,127 +49,16 @@ import numpy as np
 
 from .algebra import (
     CheckResult,
-    Frame,
-    RealLieAlgebra,
     SolvableProfile,
     StructureConstants,
     _max_abs,
+    _orthonormal_span,
+    realify,
     solvable_profile,
 )
 from .config import Config, _cfg
 from .errors import DimensionError, PreconditionError, StructureError
-from .metrics import FrameMetric, frame_metric_from_real
-
-
-# ----------------------------------------------------------- subspace layer
-
-
-class _Geometry:
-    """Whitened subspace arithmetic: in z = L^T u coordinates the metric
-    G = L L^T becomes standard, and a compatible J becomes orthogonal."""
-
-    def __init__(self, J: np.ndarray, G: np.ndarray, cfg: Config):
-        self.cfg = cfg
-        L = np.linalg.cholesky(G)
-        self.Lt = L.T
-        self.Lt_inv = np.linalg.inv(L.T)
-        self.Jw = self.Lt @ J @ self.Lt_inv
-        self.dim = J.shape[0]
-
-    def whiten(self, u: np.ndarray) -> np.ndarray:
-        return self.Lt @ u
-
-    def unwhiten(self, z: np.ndarray) -> np.ndarray:
-        return self.Lt_inv @ z
-
-    @staticmethod
-    def _sign_fix(cols: np.ndarray) -> np.ndarray:
-        cols = cols.copy()
-        for k in range(cols.shape[1]):
-            j = int(np.argmax(np.abs(cols[:, k])))
-            if cols[j, k] < 0:
-                cols[:, k] = -cols[:, k]
-        return cols
-
-    def span(self, vectors: np.ndarray, floor: float = 0.0) -> np.ndarray:
-        """Orthonormal basis of the column span.
-
-        ``floor`` anchors the rank cut at the magnitude the columns
-        would have if genuinely nonzero; without it a matrix of pure
-        roundoff noise reports full rank.  Call sites working with
-        differences of orthonormal data pass 1.0.
-        """
-        if vectors.size == 0:
-            return np.zeros((self.dim, 0))
-        u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-        if s.size == 0 or s[0] == 0.0:
-            return np.zeros((self.dim, 0))
-        rank = int(np.sum(s > self.cfg.tol_rank * max(s[0], floor)))
-        return self._sign_fix(u[:, :rank])
-
-    def intersect(self, Zp: np.ndarray, Zq: np.ndarray) -> np.ndarray:
-        """Intersection of two spans given by orthonormal columns.
-
-        Null vectors of [Zp, -Zq] pair up coefficients (a, b) with
-        Zp a = Zq b; singular values at most 1e-8 count as null here
-        (columns are unit vectors, so the scale is fixed).
-        """
-        if Zp.shape[1] == 0 or Zq.shape[1] == 0:
-            return np.zeros((self.dim, 0))
-        M = np.hstack([Zp, -Zq])
-        _, s, Vt = np.linalg.svd(M, full_matrices=True)
-        nnz = int(np.sum(s > 1e-8))
-        null = Vt[nnz:].T
-        if null.shape[1] == 0:
-            return np.zeros((self.dim, 0))
-        return self.span(Zp @ null[: Zp.shape[1]], floor=1.0)
-
-    def complement_within(self, Zu: np.ndarray, Za: np.ndarray) -> np.ndarray:
-        """Orthocomplement of span(Zu) inside span(Za)."""
-        B = Za - Zu @ (Zu.T @ Za)
-        return self.span(B, floor=1.0)
-
-    def complement_full(self, Zu: np.ndarray) -> np.ndarray:
-        if Zu.shape[1] == 0:
-            return self._sign_fix(np.eye(self.dim))
-        u, _, _ = np.linalg.svd(Zu, full_matrices=True)
-        return self._sign_fix(u[:, Zu.shape[1]:])
-
-    def j_stabilize(self, Z: np.ndarray) -> np.ndarray:
-        """Nearest J-stable subspace: average the projector with its J
-        conjugate and keep eigenvectors with eigenvalue above 1/2."""
-        if Z.shape[1] == 0:
-            return Z
-        P = Z @ Z.T
-        Ps = (P + self.Jw @ P @ self.Jw.T) / 2.0
-        w, v = np.linalg.eigh(Ps)
-        keep = v[:, w > 0.5]
-        return self._sign_fix(keep)
-
-    def j_adapted_pairs(self, Z: np.ndarray) -> list[np.ndarray]:
-        """Vectors x_1, ..., x_m with {x_t, J x_t} an orthonormal basis
-        of the J-stable span(Z); greedy over the given columns."""
-        m = Z.shape[1] // 2
-        chosen: list[np.ndarray] = []
-        acc: list[np.ndarray] = []
-        for k in range(Z.shape[1]):
-            if len(chosen) == m:
-                break
-            w = Z[:, k].copy()
-            for q in acc:
-                w = w - (q @ w) * q
-            nrm = float(np.linalg.norm(w))
-            if nrm > 1e-8:
-                x = w / nrm
-                j = int(np.argmax(np.abs(x)))
-                if x[j] < 0:
-                    x = -x
-                chosen.append(x)
-                acc.append(x)
-                acc.append(self.Jw @ x)
-        if len(chosen) < m:
-            raise StructureError("could not extract a J-adapted basis")
-        return chosen
+from .metrics import FrameMetric
 
 
 # ------------------------------------------------------------ decomposition
@@ -169,11 +66,12 @@ class _Geometry:
 
 @dataclass(frozen=True)
 class AdmissibleDecomposition:
-    """Splitting data plus the adapted frame on it.
+    """The splitting and the admissible frame on it, E_adm = E K over
+    the unitary frame E of the input constants.
 
-    ``g_mid`` is the middle Gram block g_{ab} = <e_a, conj(e_b)> over
-    the V range; the full frame metric (identity outer blocks, g_mid in
-    the middle) sits in ``metric``.
+    ``metric`` is the frame metric K^T conj(K): identity on the outer
+    blocks and ``g_mid``, the Gram block g_{ab} = <e_a, conj(e_b)> over
+    the V range, in the middle.
     """
 
     n: int
@@ -181,7 +79,7 @@ class AdmissibleDecomposition:
     s: int
     dims: tuple[int, ...]
     pure_type: str
-    frame: Frame = field(repr=False)
+    K: np.ndarray = field(repr=False)
     g_mid: np.ndarray = field(repr=False)
     metric: FrameMetric = field(repr=False)
 
@@ -196,120 +94,81 @@ def _pure_type(r: int, s: int, n: int) -> str:
     return "mixed"
 
 
-def _split(Jm: np.ndarray, Gm: np.ndarray, profile: SolvableProfile, cfg: Config):
-    """The whitened geometry, r, s, and G-orthonormal bases of g'_J, V
-    and W in the original real coordinates; raises when the algebra is
-    not 2-step solvable or a block has odd size."""
+def _z(u: np.ndarray) -> np.ndarray:
+    """The complex coordinates of real columns, J acting as i."""
+    n = u.shape[0] // 2
+    return (u[:n] + 1j * u[n:]) / np.sqrt(2.0)
+
+
+def _rank(sv: np.ndarray, cfg: Config) -> int:
+    """The singular values above the rank cut, for columns of unit scale."""
+    return int(np.sum(sv > cfg.tol_rank * max(sv[0], 1.0))) if sv.size else 0
+
+
+def _split(profile: SolvableProfile, cfg: Config) -> tuple[int, int, np.ndarray]:
+    """r, s and K for the commutator of the realification of unitary-frame
+    constants; K is exactly Identity where the unitary frame is admissible.
+    Raises when the algebra is not 2-step solvable or a block has odd size."""
     if not profile.is_2step_solvable:
         raise PreconditionError(
             f"admissible frames need a 2-step solvable algebra; derived series dims {profile.dims}"
         )
-    geo = _Geometry(Jm, Gm, cfg)
-    n = geo.dim // 2
-
-    gp = geo.span(geo.whiten(profile.commutator))
-    Jgp = geo.span(geo.Jw @ gp)
-    gpJ = geo.j_stabilize(geo.intersect(gp, Jgp))
-    if gpJ.shape[1] % 2 != 0:
-        raise StructureError(f"J-stable core has odd dimension {gpJ.shape[1]}")
-    r = gpJ.shape[1] // 2
-    V = geo.complement_within(gpJ, gp)
+    gp = profile.commutator
+    n = gp.shape[0] // 2
+    J = np.zeros((2 * n, 2 * n))
+    J[n:, :n], J[:n, n:] = np.eye(n), -np.eye(n)
+    # g'_J: u and J u in g', the null space of [(I - P); (I - P) J]
+    Q = np.eye(2 * n) - gp @ gp.T
+    _, sv, Vt = np.linalg.svd(np.vstack([Q, Q @ J]), full_matrices=False)
+    null = Vt[_rank(sv, cfg):].T
+    core = _orthonormal_span(_z(null), cfg.tol_rank, 1.0)
+    r = core.shape[1]
+    if 2 * r != null.shape[1]:
+        raise StructureError(f"J-stable core of real dimension {null.shape[1]} has complex rank {r}")
+    # V: the real complement of g'_J inside g'
+    V = _orthonormal_span(gp - null @ (null.T @ gp), cfg.tol_rank, 1.0)
     s = r + V.shape[1]
-    total = geo.span(np.hstack([gp, Jgp]))
-    if total.shape[1] != 2 * s:
-        raise StructureError(
-            f"commutator plus its J image has dimension {total.shape[1]}, expected {2 * s}"
-        )
-    W = geo.j_stabilize(geo.complement_full(total))
-    if W.shape[1] != 2 * (n - s):
-        raise StructureError(f"residual block has dimension {W.shape[1]}, expected {2 * (n - s)}")
-    un = geo.unwhiten
-    return geo, r, s, un(gpJ), un(V), un(W)
-
-
-def _decompose(Gm: np.ndarray, frame: Frame, r: int, s: int, profile: SolvableProfile,
-               cfg: Config) -> AdmissibleDecomposition:
-    """The decomposition over ``frame``, whose metric must be the identity
-    on the outer blocks and Identity/2 + i A in the middle."""
-    n = frame.n
-    g = frame_metric_from_real(Gm, frame, cfg=cfg)
-    mid = g.g[r:s, r:s].copy()
-    want = np.eye(n, dtype=complex)
-    want[r:s, r:s] = np.eye(s - r) / 2.0 + 1j * mid.imag
-    gap = _max_abs(g.g - want)
-    if gap > 1e-7:
-        raise StructureError(f"frame metric is not in admissible block form (gap {gap:.3e})")
-    return AdmissibleDecomposition(n, r, s, profile.dims, _pure_type(r, s, n), frame, mid, g)
-
-
-def _adapted(geo: _Geometry, Jm: np.ndarray, frame: Frame, r: int, s: int, gpJ, V, W) -> Frame:
-    """``frame`` itself, once each column lies in the subspace its
-    position demands (1..r in g'_J, then V, then W); a projection
-    residual above 1e-7 raises :class:`StructureError`."""
-
-    def proj_residual(u: np.ndarray, Z: np.ndarray) -> float:
-        z = geo.whiten(u)
-        res = z - Z @ (Z.T @ z) if Z.shape[1] else z
-        return float(np.linalg.norm(res)) / max(1e-300, float(np.linalg.norm(z)))
-
-    core, rest = geo.span(geo.whiten(gpJ)), geo.span(geo.whiten(W))
-    mid = geo.span(geo.whiten(V)), geo.span(geo.whiten(Jm @ V))
-    spans = [(core, core)] * r + [mid] * (s - r) + [(rest, rest)] * (frame.n - s)
-    for k, (Zre, Zim) in enumerate(spans):
-        col = frame.E[:, k]
-        bad = max(proj_residual(col.real, Zre), proj_residual(col.imag, Zim))
-        if bad > 1e-7:
-            raise StructureError(
-                f"frame column {k + 1} is not adapted to the splitting (residual {bad:.3e})"
-            )
-    return frame
-
-
-def _built(geo: _Geometry, Jm: np.ndarray, gpJ, V, W) -> Frame:
-    """A frame on the splitting; basis vectors inside each block come
-    out of a greedy J-adapted orthonormalization, so the result is
-    deterministic for fixed input."""
-
-    def pairs(Z: np.ndarray) -> list[np.ndarray]:
-        units = map(geo.unwhiten, geo.j_adapted_pairs(geo.whiten(Z)))
-        return [(u - 1j * (Jm @ u)) / np.sqrt(2.0) for u in units]
-
-    cols = pairs(gpJ) + [(v - 1j * (Jm @ v)) / 2.0 for v in V.T] + pairs(W)
-    E = np.stack(cols, axis=1) if cols else np.zeros((geo.dim, 0), dtype=complex)
-    return Frame(E, Jm, cfg=geo.cfg)
+    # W: the complex complement of g' + J g'
+    U, sv, _ = np.linalg.svd(_z(gp))
+    total = _rank(sv, cfg)
+    if total != s:
+        raise StructureError(f"commutator plus its J image has dimension {2 * total}, expected {2 * s}")
+    W = U[:, s:]
+    # a unitary frame has no middle block (its Gram block would be I/2);
+    # it is kept when its first r columns span g'_J and the rest span W
+    if s == r and max(_max_abs(core[r:]), _max_abs(W[:s])) <= cfg.tol_rank:
+        return r, s, np.eye(n, dtype=complex)
+    # unit vectors of g'_J and W, and (v - i J v)/2, whose coefficients are z(v)
+    return r, s, np.hstack([core, _z(V), W])
 
 
 def build_admissible_frame(
-    alg: RealLieAlgebra, J, G, frame: Frame | None = None, *,
-    profile: SolvableProfile | None = None, cfg: Config | None = None,
+    sc: StructureConstants, *, profile: SolvableProfile | None = None, cfg: Config | None = None,
 ) -> AdmissibleDecomposition:
-    """An admissible frame over the metric splitting: ``frame`` when it
-    is admissible already, a frame built on the splitting otherwise.
-    ``profile`` is the :func:`solvable_profile` of ``alg``, computed
-    when omitted."""
+    """The admissible frame E K over the frame E of ``sc``, which must be
+    unitary (frame metric Identity): K = Identity when E is admissible
+    already.  ``profile`` is the :func:`solvable_profile` of
+    ``realify(sc.C, sc.D)``, computed when omitted."""
     cfg = _cfg(cfg)
     if profile is None:
-        profile = solvable_profile(alg, cfg=cfg)
-    Jm, Gm = np.asarray(J, dtype=float), np.asarray(G, dtype=float)
-    geo, r, s, gpJ, V, W = _split(Jm, Gm, profile, cfg)
-    if frame is not None:
-        try:
-            return _decompose(Gm, _adapted(geo, Jm, frame, r, s, gpJ, V, W), r, s, profile, cfg)
-        except StructureError:
-            pass
-    return _decompose(Gm, _built(geo, Jm, gpJ, V, W), r, s, profile, cfg)
+        profile = solvable_profile(realify(sc.C, sc.D, cfg=cfg, validate=False)[0], cfg=cfg)
+    r, s, K = _split(profile, cfg)
+    g = FrameMetric(K.T @ np.conj(K), cfg=cfg)
+    return AdmissibleDecomposition(sc.n, r, s, profile.dims, _pure_type(r, s, sc.n), K,
+                                   g.g[r:s, r:s].copy(), g)
 
 
 def admissible_from_frame(
-    alg: RealLieAlgebra, J, G, frame: Frame, *, cfg: Config | None = None
+    sc: StructureConstants, *, profile: SolvableProfile | None = None, cfg: Config | None = None,
 ) -> AdmissibleDecomposition:
-    """The strict form of :func:`build_admissible_frame`: a frame that
-    is not admissible raises :class:`StructureError`."""
-    cfg = _cfg(cfg)
-    profile = solvable_profile(alg, cfg=cfg)
-    Jm, Gm = np.asarray(J, dtype=float), np.asarray(G, dtype=float)
-    geo, r, s, gpJ, V, W = _split(Jm, Gm, profile, cfg)
-    return _decompose(Gm, _adapted(geo, Jm, frame, r, s, gpJ, V, W), r, s, profile, cfg)
+    """The strict form of :func:`build_admissible_frame`: a unitary frame
+    that is not admissible raises :class:`StructureError`."""
+    dec = build_admissible_frame(sc, profile=profile, cfg=cfg)
+    if not np.array_equal(dec.K, np.eye(dec.n)):
+        raise StructureError(
+            f"the frame is not adapted to the splitting (r={dec.r}, s={dec.s}, n={dec.n})"
+        )
+    return dec
 
 
 # ------------------------------------------------------------ block algebra

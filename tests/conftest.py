@@ -16,8 +16,11 @@ import pytest
 
 from hskahler import (
     AlgebraDocument,
+    RealLieAlgebra,
     StructureConstants,
+    canonical_frame,
     change_frame,
+    complexify_and_extract,
     generate_family,
     load,
 )
@@ -87,6 +90,17 @@ def kt_real():
     return f, J, np.eye(4)
 
 
+def kt_sc() -> StructureConstants:
+    """Kodaira-Thurston in the unitary frame of its standard metric."""
+    f, J, _ = kt_real()
+    return complexify_and_extract(RealLieAlgebra(f), J, canonical_frame(J))
+
+
+def admissible_constants(sc: StructureConstants, dec) -> StructureConstants:
+    """The constants of the admissible frame E K of ``dec``, for those of E."""
+    return change_frame(sc, np.linalg.inv(dec.K).T)
+
+
 def base_pool() -> list[StructureConstants]:
     """Jacobi-exact seeds with n <= 5, reused by the randomizers."""
     pool = [abelian_sc(2), abelian_sc(4), aff_sc()]
@@ -94,8 +108,6 @@ def base_pool() -> list[StructureConstants]:
         if n <= 5:
             pool.append(generate_family(r, n, seed=100 + seed).sc)
     kt = catalog_doc("kodaira_thurston")
-    from hskahler import canonical_frame, complexify_and_extract
-
     alg, J, G = kt.build_real()
     pool.append(complexify_and_extract(alg, J, canonical_frame(J)))
     return pool

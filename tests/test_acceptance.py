@@ -175,7 +175,7 @@ def test_criterion_5_family_positive_control():
         assert sol.feasible
         worst["hs"] = max(worst["hs"], sol.residual)
 
-        dec = admissible_from_frame(fam.alg, fam.J, fam.G, fam.frame)
+        dec = admissible_from_frame(fam.sc)
         for chk in verify_restrictions(dec, fam.sc).values():
             worst["restr"] = max(worst["restr"], chk.residual)
         for chk in verify_bianchi_blocks(dec, fam.sc).values():
@@ -219,7 +219,7 @@ def test_criterion_6_trivial_fixed_points():
     lam = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     fam = generate_family(2, 5, lam, np.zeros(2))
     assert kahler_check(unitary(fam.sc, fam.g)).passed
-    dec = admissible_from_frame(fam.alg, fam.J, fam.G, fam.frame)
+    dec = admissible_from_frame(fam.sc)
     cert = kahlerize(dec, fam.sc, fam.S)
     assert np.array_equal(cert.psi_coeffs, np.eye(5, dtype=complex))
     print("\ncriterion 6 PASS: torus verdict Kähler with S = 0; p = 0 family is "

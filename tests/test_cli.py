@@ -567,9 +567,11 @@ def test_config_file_validation(capsys, tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("--restarts", "0"), ("--restarts", "-1"), ("--budget", "0"), ("--seed", "-1"), ("--seed", "1.5"),
+    ("--jobs", "0"), ("--jobs", "-3"),
 ])
-def test_search_and_seed_flags_are_validated(capsys, flag, value):
-    code = run_command(["hs", "kodaira_thurston", "--search", flag, value, "--json-only"])
+def test_search_and_seed_flags_are_validated(capsys, tmp_path, flag, value):
+    argv = ["batch", str(tmp_path)] if flag == "--jobs" else ["hs", "kodaira_thurston", "--search"]
+    code = run_command([*argv, flag, value, "--json-only"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert flag in captured.err

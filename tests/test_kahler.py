@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import (
-    FAMILY_GRID, abelian_sc, aff_sc, catalog_doc, kt_real, random_invertible, random_orthogonal,
-    random_unitary,
+    FAMILY_GRID, abelian_sc, admissible_constants, aff_sc, catalog_doc, kt_sc, random_invertible,
+    random_orthogonal, random_unitary, unitary,
 )
 
 from hskahler.algebra import (
-    RealLieAlgebra,
     StructureConstants,
     canonical_frame,
     change_frame,
     complexify_and_extract,
-    realify,
     unimodularity_check,
 )
 from hskahler.analysis import run_kahlerize
@@ -121,7 +119,7 @@ def test_empty_and_zero_size_inputs():
 
 
 def _family_dec(fam):
-    return admissible_from_frame(fam.alg, fam.J, fam.G, fam.frame)
+    return admissible_from_frame(fam.sc)
 
 
 def test_claims_recover_family_data_verbatim():
@@ -220,9 +218,7 @@ def test_claims_match_the_per_label_loops():
 def test_vanishing_eigenvalue_tuple_is_structural():
     # abelian constants in a splitting that insists on a core direction:
     # the core never appears in any bracket, so t_1 = 0
-    sc = aff_sc()
-    alg, J, G, _ = realify(sc.C, sc.D)
-    dec = build_admissible_frame(alg, J, G)
+    dec = build_admissible_frame(aff_sc())
     assert dec.r == 1
     with pytest.raises(StructureError):
         claims_pipeline(dec, abelian_sc(2), np.zeros((2, 2)))
@@ -328,14 +324,10 @@ def test_tampered_coupling_fails_certification():
 
 
 def test_infeasible_input_is_a_precondition_failure():
-    f, J, G = kt_real()
-    alg = RealLieAlgebra(f)
-    dec = build_admissible_frame(alg, J, G)
-    from hskahler.algebra import complexify_and_extract
-
-    sc = complexify_and_extract(alg, J, dec.frame)
+    sc = kt_sc()
+    dec = build_admissible_frame(sc)
     with pytest.raises(PreconditionError):
-        kahlerize(dec, sc)
+        kahlerize(dec, admissible_constants(sc, dec))
 
 
 def test_certificate_dimension_guard():
@@ -351,12 +343,12 @@ def test_certificate_dimension_guard():
 def _reframed(fam, A):
     """The family instance after the change of frame A, as the analysis
     sees it: the rebuilt admissible frame with its constants, and the
-    document's own frame with its constants."""
-    sc = change_frame(fam.sc, A)
+    constants of the g-unitary frame that the admissible frame E K is
+    built over."""
     Ainv = np.linalg.inv(A)
-    alg, J, G, frame = realify(sc.C, sc.D, Ainv @ fam.g @ Ainv.conj().T)
-    dec = build_admissible_frame(alg, J, G)
-    return dec, complexify_and_extract(alg, J, dec.frame), (frame, sc)
+    sc = unitary(change_frame(fam.sc, A), Ainv @ fam.g @ Ainv.conj().T)
+    dec = build_admissible_frame(sc)
+    return dec, admissible_constants(sc, dec), sc
 
 
 def _engine_omega(cert, dec):
@@ -384,14 +376,14 @@ def test_certificate_metric_is_the_engine_form_in_the_callers_frame(rng, tamper)
         D = fam.sc.D.copy()
         D[3, 0, 3] *= 1.3
         sc = StructureConstants(fam.sc.C, D, validate=False)
-        dec, sc_adm, frame, S = _family_dec(fam), sc, fam.frame, fam.S
+        dec, sc_adm, S = _family_dec(fam), sc, fam.S
     else:
-        dec, sc_adm, (frame, sc) = _reframed(fam, random_invertible(rng, 5))
+        dec, sc_adm, sc = _reframed(fam, random_invertible(rng, 5))
         S = None
-    cert = kahlerize(dec, sc_adm, S, target=(frame, sc), strict=False)
+    cert = kahlerize(dec, sc_adm, S, strict=False)
     omega, terms = _engine_omega(cert, dec)
-    E_rot = dec.frame.E @ np.linalg.inv(cert.rotation).T
-    Kinv = np.linalg.inv(np.linalg.lstsq(frame.E, E_rot, rcond=None)[0])
+    # the rotated frame is E K A^-T, A the rotation, over the unitary frame E
+    Kinv = np.linalg.inv(dec.K @ np.linalg.inv(cert.rotation).T)
     to_doc = lambda form: Kinv.T @ hermitian_coefficients(form) @ np.conj(Kinv)
     h = to_doc(omega)
     assert np.max(np.abs(cert.metric - h)) <= 1e-12 * np.max(np.abs(h))
@@ -455,8 +447,10 @@ def test_real_documents_ship_the_real_metric(rng):
     alg, J, G = AlgebraDocument.from_real("real", f, J, G).build_real()
     frame = canonical_frame(J)
     sc = complexify_and_extract(alg, J, frame)
-    dec = build_admissible_frame(alg, J, G)
-    want = kahlerize(dec, complexify_and_extract(alg, J, dec.frame), target=(frame, sc)).metric
+    L = np.linalg.cholesky(frame_metric_from_real(G, frame).g)
+    sc_u = change_frame(sc, L)
+    dec = build_admissible_frame(sc_u)
+    want = L @ kahlerize(dec, admissible_constants(sc_u, dec)).metric @ L.conj().T
     h = frame_metric_from_real(Gt, frame).g
     assert np.max(np.abs(h - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.max(np.abs(d_omega(sc, h))) <= 1e-10

@@ -2,9 +2,10 @@
 change of frame and carries the constants and the closed completion
 through it, instead of deriving them a second time.
 
-The deleted route (extract the constants in the admissible frame from
-the real bracket, decide the closed completion again at the block
-metric) stays here as the oracle.
+The deleted route (extract the constants in the admissible frame E_std K
+from the real bracket of the gauged realification, whose generating
+frame E_std is the g-unitary frame, and decide the closed completion
+again at the block metric) stays here as the oracle.
 """
 
 import json
@@ -18,7 +19,9 @@ from conftest import catalog_doc, random_invertible
 import hskahler.algebra
 import hskahler.metrics
 import hskahler.solvable
-from hskahler import AlgebraDocument, change_frame, complexify_and_extract, generate_family, realify
+from hskahler import (
+    AlgebraDocument, Frame, change_frame, complexify_and_extract, generate_family, realify,
+)
 from hskahler.analysis import _CHAIN, AnalysisReport, _Run
 from hskahler.cli import run_command
 from hskahler.config import Config
@@ -104,15 +107,17 @@ def test_the_carried_completion_matches_the_deleted_route(doc):
     doc = {"reframed": _reframed, "real": lambda: _real(2, 5, 12)[0]}.get(doc, lambda: catalog_doc(doc))()
     run = _chain(doc)
     assert run.dec is not None, run.rep.records
-    if doc.name == "reframed":
-        assert run.K is not None   # the document's frame is not admissible
-    elif doc.name in ("real_r2n5", "family_r2n5"):
-        assert run.K is None       # the generator's frame is kept
     dec, sc_adm, sol = run.dec, run.sc_adm, run.hs_adm
+    kept = np.array_equal(dec.K, np.eye(dec.n))
+    if doc.name == "reframed":
+        assert not kept   # the document's frame is not admissible
+    elif doc.name in ("real_r2n5", "family_r2n5"):
+        assert kept       # the generator's frame is kept
     assert hs_decide(sc_adm, dec.metric, cfg=run.cfg).feasible == sol.feasible
     if sol.feasible:
         assert hs_residual_of(sc_adm, dec.metric, sol.S) <= run.cfg.tol_feas
-    want = complexify_and_extract(run.alg, run.J, dec.frame)
+    alg, J, _, unit = realify(run.sc.C, run.sc.D)
+    want = complexify_and_extract(alg, J, Frame(unit.E @ dec.K, J))
     scale = max(1.0, want.magnitude())
     assert np.max(np.abs(sc_adm.C - want.C)) <= 1e-12 * scale
     assert np.max(np.abs(sc_adm.D - want.D)) <= 1e-12 * scale

@@ -1,20 +1,25 @@
 """Admissible frames, block slicing, and the block identity lists."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import aff_sc, kt_real
+from conftest import abelian_sc, admissible_constants, aff_sc, catalog_doc, kt_sc, random_unitary
+from test_invariance import CATALOG
+from test_metamorphic import KAPPAS, _reframed, _round_trip
 
 from hskahler.algebra import (
-    Frame,
     RealLieAlgebra,
     StructureConstants,
     _max_abs,
+    canonical_frame,
+    change_frame,
     complexify_and_extract,
-    realify,
 )
+from hskahler.analysis import AnalysisReport, _admissible, _classes, _input, _Run
+from hskahler.config import Config
 from hskahler.errors import DimensionError, PreconditionError, StructureError
 from hskahler.kahler import generate_family
 from hskahler.solvable import (
@@ -27,31 +32,22 @@ from hskahler.solvable import (
 )
 
 
-def _standard_J(n: int) -> np.ndarray:
-    J = np.zeros((2 * n, 2 * n))
-    J[n:, :n] = np.eye(n)
-    J[:n, n:] = -np.eye(n)
-    return J
-
-
 def test_torus_splitting_is_all_residual_block():
-    alg = RealLieAlgebra(np.zeros((4, 4, 4)))
-    dec = build_admissible_frame(alg, _standard_J(2), np.eye(4))
+    sc = abelian_sc(2)
+    dec = build_admissible_frame(sc)
     assert (dec.r, dec.s, dec.n) == (0, 0, 2)
     assert dec.pure_type == "I"
     # g' has real dimension r + s and W real dimension 2 (n - s)
     assert dec.r + dec.s == 0
     assert 2 * (dec.n - dec.s) == 4
-    sc = complexify_and_extract(alg, _standard_J(2), dec.frame)
+    assert np.array_equal(dec.K, np.eye(2))
     res = verify_restrictions(dec, sc)
     assert res["restriction1"].passed and res["restriction1"].residual == 0.0
     assert res["restriction2"].passed and res["restriction2"].residual == 0.0
 
 
 def test_kodaira_thurston_splitting():
-    f, J, G = kt_real()
-    alg = RealLieAlgebra(f)
-    dec = build_admissible_frame(alg, J, G)
+    dec = build_admissible_frame(kt_sc())
     assert (dec.r, dec.s, dec.n) == (0, 1, 2)
     assert dec.pure_type == "I"
     assert dec.dims == (4, 1, 0)
@@ -61,11 +57,9 @@ def test_kodaira_thurston_splitting():
 
 
 def test_kodaira_thurston_restriction2_fails_cleanly():
-    f, J, G = kt_real()
-    alg = RealLieAlgebra(f)
-    dec = build_admissible_frame(alg, J, G)
-    sc = complexify_and_extract(alg, J, dec.frame)
-    res = verify_restrictions(dec, sc)
+    sc = kt_sc()
+    dec = build_admissible_frame(sc)
+    res = verify_restrictions(dec, admissible_constants(sc, dec))
     assert res["restriction1"].passed
     assert res["restriction1"].residual == 0.0
     assert not res["restriction2"].passed
@@ -74,40 +68,37 @@ def test_kodaira_thurston_restriction2_fails_cleanly():
 
 
 def test_build_admissible_frame_is_deterministic():
-    f, J, G = kt_real()
-    alg = RealLieAlgebra(f)
-    a = build_admissible_frame(alg, J, G)
-    b = build_admissible_frame(alg, J, G)
-    assert np.array_equal(a.frame.E, b.frame.E)
+    a = build_admissible_frame(kt_sc())
+    b = build_admissible_frame(kt_sc())
+    assert np.array_equal(a.K, b.K)
 
 
 def test_affine_algebra_passes_both_restrictions():
     sc = aff_sc()
-    alg, J, G, _ = realify(sc.C, sc.D)
-    dec = build_admissible_frame(alg, J, G)
+    dec = build_admissible_frame(sc)
     assert (dec.r, dec.s, dec.n) == (1, 1, 2)
     assert dec.pure_type == "II"
-    adapted = complexify_and_extract(alg, J, dec.frame)
-    res = verify_restrictions(dec, adapted)
+    res = verify_restrictions(dec, admissible_constants(sc, dec))
     assert res["restriction1"].passed
     assert res["restriction2"].passed
 
 
 def test_non_solvable_algebra_is_rejected():
-    f = np.zeros((6, 6, 6))
-    f[2, 0, 1], f[2, 1, 0] = 1.0, -1.0
-    f[0, 1, 2], f[0, 2, 1] = 1.0, -1.0
-    f[1, 2, 0], f[1, 0, 2] = 1.0, -1.0
-    alg = RealLieAlgebra(f)
+    # u(2) = su(2) + R with the Hopf structure
+    f = np.zeros((4, 4, 4))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        f[k, i, j], f[k, j, i] = 1.0, -1.0
+    J = np.zeros((4, 4))
+    J[1, 0], J[0, 1], J[3, 2], J[2, 3] = 1.0, -1.0, 1.0, -1.0
+    sc = complexify_and_extract(RealLieAlgebra(f), J, canonical_frame(J))
     with pytest.raises(PreconditionError):
-        build_admissible_frame(alg, _standard_J(3), np.eye(6))
+        build_admissible_frame(sc)
 
 
 @pytest.mark.parametrize("r,n,seed", [(1, 3, 11), (2, 5, 12), (3, 6, 13)])
 def test_family_generating_frame_is_admissible(r, n, seed):
     fam = generate_family(r, n, seed=seed)
-    alg, J, G, frame = realify(fam.sc.C, fam.sc.D, fam.g)
-    dec = admissible_from_frame(alg, J, G, frame)
+    dec = admissible_from_frame(fam.sc)
     assert (dec.r, dec.s) == (fam.r, fam.s)
     assert dec.pure_type == "II"
     res = verify_restrictions(dec, fam.sc)
@@ -117,8 +108,7 @@ def test_family_generating_frame_is_admissible(r, n, seed):
 @pytest.mark.parametrize("r,n,seed", [(1, 3, 11), (2, 5, 12), (3, 6, 13)])
 def test_family_satisfies_all_block_identities(r, n, seed):
     fam = generate_family(r, n, seed=seed)
-    alg, J, G, frame = realify(fam.sc.C, fam.sc.D, fam.g)
-    dec = admissible_from_frame(alg, J, G, frame)
+    dec = admissible_from_frame(fam.sc)
     for name, check in verify_bianchi_blocks(dec, fam.sc).items():
         assert check.passed, f"{name}: {check.residual}"
         assert check.residual <= 1e-12
@@ -129,22 +119,91 @@ def test_family_satisfies_all_block_identities(r, n, seed):
 
 def test_rebuilt_family_frame_still_passes_restrictions():
     fam = generate_family(2, 5, seed=12)
-    alg, J, G, _ = realify(fam.sc.C, fam.sc.D, fam.g)
-    dec = build_admissible_frame(alg, J, G)
+    # a unitary change of frame keeps the metric and mixes the blocks
+    sc = change_frame(fam.sc, random_unitary(np.random.default_rng(12), 5))
+    dec = build_admissible_frame(sc)
     assert (dec.r, dec.s, dec.n) == (2, 2, 5)
-    adapted = complexify_and_extract(alg, J, dec.frame)
-    res = verify_restrictions(dec, adapted)
+    assert not np.array_equal(dec.K, np.eye(5))
+    res = verify_restrictions(dec, admissible_constants(sc, dec))
     assert all(v.passed for v in res.values())
 
 
 def test_admissible_from_frame_rejects_unadapted_columns():
     fam = generate_family(1, 3, seed=11)
-    alg, J, G, frame = realify(fam.sc.C, fam.sc.D, fam.g)
-    M = np.eye(3, dtype=complex)
-    M[2, 0] = 0.5  # leak a residual direction into the core column
-    bad = Frame(frame.E @ M, J)
+    c, s = np.cos(0.5), np.sin(0.5)
+    U = np.eye(3, dtype=complex)
+    U[[0, 0, 2, 2], [0, 2, 0, 2]] = c, -s, s, c  # leak a residual direction into the core
     with pytest.raises(StructureError):
-        admissible_from_frame(alg, J, G, bad)
+        admissible_from_frame(change_frame(fam.sc, U))
+
+
+# ------------------------------------------- the split behind the gauge
+
+
+def _through_the_gauge(doc):
+    """A command's run up to the admissible stage: the split of the
+    g-unitary constants, at unit scale."""
+    cfg = Config()
+    run = _Run(doc, cfg, AnalysisReport(doc.name, doc.mode, "verify-claims", cfg.as_dict()))
+    for stage in (_input, _classes, _admissible):
+        assert stage(run) is None and run.rep.consistent(), [vars(r) for r in run.rep.failed()]
+    return run
+
+
+def _documents():
+    for name in CATALOG:
+        doc = catalog_doc(name)
+        yield name, doc
+        for k, kappa in enumerate(KAPPAS):
+            yield f"{name} kappa {kappa:g}", _reframed(doc, kappa, [7, k])
+        yield f"{name} round trip", _round_trip(doc)
+
+
+@pytest.mark.parametrize("tag, doc", list(_documents()), ids=[t for t, _ in _documents()])
+def test_the_split_is_admissible_and_kept_only_where_strict(tag, doc):
+    run = _through_the_gauge(doc)
+    dec, n = run.dec, run.sc.n
+    assert dec.r + dec.s == run.profile.dims[1]
+    # identity on the outer blocks, Identity/2 + i A in the middle
+    r, s = dec.r, dec.s
+    g = dec.K.T @ np.conj(dec.K)
+    want = np.eye(n, dtype=complex)
+    want[r:s, r:s] = np.eye(s - r) / 2.0 + 1j * g[r:s, r:s].imag
+    assert np.max(np.abs(g - want)) <= 1e-12
+    assert np.max(np.abs(dec.metric.g - g)) <= 1e-15
+    kept = np.array_equal(dec.K, np.eye(n))
+    if kept:
+        assert np.array_equal(admissible_from_frame(run.sc, profile=run.profile).K, dec.K)
+    else:
+        with pytest.raises(StructureError):
+            admissible_from_frame(run.sc, profile=run.profile)
+
+
+def _kt_metric() -> np.ndarray:
+    """A J-compatible metric on Kodaira-Thurston other than the identity:
+    P^T P for a complex-linear P, in the pairs (b1, b2), (b3, b4)."""
+    M = np.array([[2.0, 0.3 + 0.5j], [0.0, 1.0 + 0.2j]])
+    P = np.block([[np.array([[m.real, -m.imag], [m.imag, m.real]]) for m in row] for row in M])
+    return P.T @ P
+
+
+def test_the_middle_block_survives_the_gauge():
+    """Kodaira-Thurston has s > r: a unitary frame is never admissible, and
+    the middle column (v - i J v)/2 has the Gram block 1/2 whatever the
+    documented metric and frame."""
+    native = catalog_doc("kodaira_thurston")
+    moved = dataclasses.replace(native, G=_kt_metric())
+    assert not np.array_equal(moved.G, np.eye(4))
+    want = [r for r in _through_the_gauge(native).rep.records if r.check_id == "restriction2"]
+    for doc in (moved, _reframed(moved, 10.0, [7, 1])):
+        run = _through_the_gauge(doc)
+        assert (run.dec.r, run.dec.s) == (0, 1)
+        assert run.dec.g_mid == pytest.approx(np.array([[0.5]]), abs=1e-15)
+        got = [r for r in run.rep.records if r.check_id == "restriction2"]
+        assert [(r.status, r.details, r.category) for r in got] == [
+            (r.status, r.details, r.category) for r in want]
+        assert got[0].residual > 0.1 and want[0].status == "fail"
+        assert run.rep.verdict == "pluriclosed, not HS-compatible (restriction2 fails)"
 
 
 def _tagged_blocks():
@@ -191,8 +250,7 @@ def test_hs_blocks_validation():
 
 
 def test_block_identities_dimension_guard():
-    alg = RealLieAlgebra(np.zeros((4, 4, 4)))
-    dec = build_admissible_frame(alg, _standard_J(2), np.eye(4))
+    dec = build_admissible_frame(abelian_sc(2))
     wrong = StructureConstants(
         np.zeros((3, 3, 3), dtype=complex), np.zeros((3, 3, 3), dtype=complex)
     )
