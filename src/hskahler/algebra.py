@@ -57,6 +57,19 @@ def _max_abs(a) -> float:
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
 
 
+def _rank(sv: np.ndarray, cfg: Config) -> int:
+    """The one rank cut: how many descending singular values exceed
+    ``cfg.tol_rank * max(sv[0], 1)``, relative for large columns and
+    absolute at unit scale, where numerically zero columns have rank 0."""
+    return int(np.sum(sv > cfg.tol_rank * max(sv[0], 1.0))) if sv.size else 0
+
+
+def _conditioned(sv: np.ndarray, cfg: Config) -> bool:
+    """The one conditioning test of a matrix that must be invertible, on
+    its descending singular values: sigma_min > ``cfg.tol_rank`` sigma_max."""
+    return not sv.size or bool(sv[-1] > cfg.tol_rank * sv[0])
+
+
 class RealLieAlgebra:
     """A finite-dimensional real Lie algebra given by structure constants.
 
@@ -145,7 +158,7 @@ class Frame:
         if type_res > cfg.tol_alg * scale:
             raise TypeError(f"frame columns are not of type (1,0): residual {type_res:.3e}")
         sv = np.linalg.svd(E, compute_uv=False)
-        if sv[-1] <= cfg.tol_rank * sv[0]:
+        if not _conditioned(sv, cfg):
             raise RankError(f"frame columns are rank deficient: sigma_min/sigma_max = {sv[-1] / sv[0]:.3e}")
         self.E = E
         self.n = E.shape[1]
@@ -166,10 +179,11 @@ class Frame:
 def canonical_frame(J, *, cfg: Config | None = None) -> Frame:
     """Deterministic frame built greedily from the standard basis.
 
-    Walks the standard basis vectors u in order, forms
-    ``(u - i J u)/sqrt(2)``, and keeps each candidate that enlarges the
-    span.  For block-standard J (the output of :func:`realify`) this
-    reproduces the generating frame exactly.
+    Walks the standard basis vectors u in order and keeps each
+    ``(u - i J u)/sqrt(2)`` that enlarges the span by more than
+    sqrt(``tol_rank``) of its length, since the frame metric squares the
+    frame's conditioning.  For block-standard J (the output of
+    :func:`realify`) this reproduces the generating frame.
     """
     cfg = _cfg(cfg)
     Jm = np.asarray(J, dtype=float)
@@ -184,7 +198,7 @@ def canonical_frame(J, *, cfg: Config | None = None) -> Frame:
         w = v.copy()
         for q in ortho:
             w = w - (np.conj(q) @ w) * q
-        if np.linalg.norm(w) > 1e-6:
+        if np.linalg.norm(w) > np.sqrt(cfg.tol_rank) * np.linalg.norm(v):
             cols.append(v)
             ortho.append(w / np.linalg.norm(w))
         if len(cols) == n:
@@ -325,31 +339,22 @@ class SolvableProfile(NamedTuple):
     commutator: np.ndarray  # orthonormal basis (columns, standard inner product) of [g, g]
 
 
-def _orthonormal_span(vectors: np.ndarray, tol_rank: float, scale: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of the given columns.
-
-    The rank cut is ``tol_rank * max(s[0], scale)``: relative for
-    healthy inputs, but floored at the magnitude the columns would have
-    if they were genuinely nonzero, so that a span of numerically-zero
-    vectors comes out empty instead of full rank.
-    """
+def _orthonormal_span(vectors: np.ndarray, cfg: Config) -> np.ndarray:
+    """Orthonormal basis (columns) of the span of the given columns, cut
+    at :func:`_rank`: numerically zero columns span nothing."""
     if vectors.size == 0:
         return np.zeros((vectors.shape[0], 0))
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((vectors.shape[0], 0))
-    rank = int(np.sum(s > tol_rank * max(s[0], scale)))
-    return u[:, :rank]
+    return u[:, :_rank(s, cfg)]
 
 
-def _bracket_span(alg: RealLieAlgebra, basis: np.ndarray, tol_rank: float) -> np.ndarray:
+def _bracket_span(alg: RealLieAlgebra, basis: np.ndarray, cfg: Config) -> np.ndarray:
     k = basis.shape[1]
     if k < 2:
         return np.zeros((alg.dim, 0))
     brackets = np.einsum("cab,ai,bj->cij", alg.f, basis, basis)
     iu, ju = np.triu_indices(k, 1)
-    # orthonormal basis vectors make brackets O(|f|), the natural floor
-    return _orthonormal_span(brackets[:, iu, ju], tol_rank, max(1.0, _max_abs(alg.f)))
+    return _orthonormal_span(brackets[:, iu, ju], cfg)
 
 
 def solvable_profile(alg: RealLieAlgebra, *, cfg: Config | None = None) -> SolvableProfile:
@@ -362,13 +367,13 @@ def solvable_profile(alg: RealLieAlgebra, *, cfg: Config | None = None) -> Solva
     """
     cfg = _cfg(cfg)
     dims = [alg.dim]
-    commutator = basis = _bracket_span(alg, np.eye(alg.dim), cfg.tol_rank)
+    commutator = basis = _bracket_span(alg, np.eye(alg.dim), cfg)
     while True:
         d = basis.shape[1]
         dims.append(d)
         if d == 0 or d == dims[-2]:
             break
-        basis = _bracket_span(alg, basis, cfg.tol_rank)
+        basis = _bracket_span(alg, basis, cfg)
     is2 = dims[1] == 0 or (len(dims) >= 3 and dims[2] == 0)
     return SolvableProfile(tuple(dims), is2, commutator)
 
@@ -383,8 +388,7 @@ def change_frame(sc: StructureConstants, A, *, cfg: Config | None = None, valida
     A = np.asarray(A, dtype=complex)
     if A.shape != (sc.n, sc.n):
         raise DimensionError(f"change of frame must be {sc.n} x {sc.n}, got {A.shape}")
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] <= cfg.tol_rank * sv[0]:
+    if not _conditioned(np.linalg.svd(A, compute_uv=False), cfg):
         raise RankError("change-of-frame matrix is numerically singular")
     Ainv = np.linalg.inv(A)
     n = sc.n
@@ -404,7 +408,7 @@ def realify(C, D, g=None, *, cfg: Config | None = None, validate: bool = True):
     ``x_1..x_n, y_1..y_n``) and the frame metric of ``frame`` w.r.t.
     ``G`` is exactly the given Hermitian ``g`` (identity by default).
     The real structure tensor is guaranteed real by conjugation symmetry
-    of the bracket; its tiny imaginary residue is checked and dropped.
+    of the bracket; its imaginary residue is checked (``tol_alg``) and dropped.
     """
     cfg = _cfg(cfg)
     C = np.asarray(C, dtype=complex)
@@ -433,7 +437,7 @@ def realify(C, D, g=None, *, cfg: Config | None = None, validate: bool = True):
     N = 2 * n
     f = T.T @ ((Tinv @ F.reshape(N, N * N)).reshape(N, N, N) @ T)
     imag_res = _max_abs(f.imag)
-    if imag_res > 1e-10 * max(1.0, _max_abs(f)):
+    if imag_res > cfg.tol_alg * max(1.0, _max_abs(f)):
         raise StructureError(f"realified bracket is not real: imaginary residue {imag_res:.3e}")
     alg = RealLieAlgebra(f.real, validate=validate, cfg=cfg)
     J = np.zeros((2 * n, 2 * n))

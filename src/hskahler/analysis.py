@@ -39,12 +39,13 @@ constants there by their magnitude s, the largest |C| or |D| (1 for zero
 constants; ``profile.scale``).  Every later stage decides there, at the
 metric Identity; the derived series and the admissible split read the
 one realification of those constants, where G = Identity and J is
-standard, and so does complex mode's integrability record.  The Bianchi
-and dd records stay on the document's frame, where no change of frame
-amplifies input roundoff.  The report carries frame data back: S as
-L S L^T and a metric as L h L^*; the certificate is measured in the
-g-unitary frame, so ``min_eig`` is relative to g, and lam and p are
-given times s and over s.
+standard, and so does complex mode's integrability record.  Rank cuts
+are :func:`hskahler.algebra._rank`, and ``metric_positive`` holds L to
+its conditioning test.  The Bianchi and dd records stay on the
+document's frame, where no change of frame amplifies input roundoff.
+The report carries frame data back: S as L S L^T and a metric as
+L h L^*; the certificate is measured in the g-unitary frame, so
+``min_eig`` is relative to g, and lam and p are given times s and over s.
 
 A record reports the residual it was decided on: a raw sup norm, or
 divided by max(1, |g|) (metric records, on the document's g), max(1, |S|)
@@ -61,8 +62,8 @@ from typing import Any
 import numpy as np
 
 from .algebra import (
-    CheckResult, Frame, RealLieAlgebra, SolvableProfile, StructureConstants, _max_abs,
-    canonical_frame, change_frame, compatibility_residual, complexify_and_extract,
+    CheckResult, Frame, RealLieAlgebra, SolvableProfile, StructureConstants, _conditioned,
+    _max_abs, canonical_frame, change_frame, compatibility_residual, complexify_and_extract,
     integrability_residual, realify, reconstruction_residual, solvable_profile,
     unimodularity_check,
 )
@@ -346,14 +347,18 @@ def _input(run: _Run) -> _Why:
 
 
 def _metric_records(rep: AnalysisReport, cfg: Config, M: np.ndarray, check_id: str) -> float:
-    """M is symmetric (Hermitian) and positive definite; returns the
-    max(1, |M|) that its residuals are divided by."""
+    """M is symmetric (Hermitian) and positive definite, and its Cholesky
+    factor, of singular values sqrt(eig M), passes the conditioning test;
+    returns the max(1, |M|) that its residuals are divided by."""
     gs = max(1.0, _max_abs(M))
     sym = _max_abs(M - M.conj().T) / gs
-    eigmin = float(np.min(np.linalg.eigvalsh((M + M.conj().T) / 2.0)))
+    eig = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
+    eigmin = float(eig[0])
+    ok = eigmin > 0.0 and _conditioned(np.sqrt(eig[::-1]), cfg)
+    ill = "" if ok or eigmin <= 0.0 else f", condition {eig[-1] / eigmin:.3e}: numerically singular"
     rep.add(check_id, "plumbing", sym <= cfg.tol_alg, sym)
-    rep.add("metric_positive", "plumbing", eigmin > 0.0, max(0.0, -eigmin) / gs,
-            details=f"min eigenvalue {eigmin:.3e}")
+    rep.add("metric_positive", "plumbing", ok, max(0.0, -eigmin) / gs,
+            details=f"min eigenvalue {eigmin:.3e}{ill}")
     return gs
 
 

@@ -18,13 +18,13 @@ class Config:
     tol_alg: float = 1e-9
     # absolute, for Jacobi / first-Bianchi residuals
     tol_jacobi: float = 1e-8
-    # relative to the largest singular value, for rank decisions
+    # relative to the largest singular value: algebra._rank and _conditioned
     tol_rank: float = 1e-8
     # scaled by max(1, ||rhs||) of the unit-scale HS system
     tol_feas: float = 1e-8
     # absolute, for the closure of certificates on unit-scale constants
     tol_cert: float = 1e-8
-    # relative to the spectral scale, for joint-diagonalization residuals
+    # relative to the spectral scale: joint-diagonalization residuals and gaps
     tol_diag: float = 1e-8
     # seed for the randomized HS metric search (joint diagonalization is
     # deterministic and takes no seed)

@@ -26,6 +26,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .algebra import StructureConstants
+from .config import DEFAULT_CONFIG
 from .errors import DimensionError
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
@@ -302,7 +303,7 @@ def del_and_delbar(
     return da.component(p + 1, q), da.component(p, q + 1)
 
 
-def hermitian_coefficients(form: InvariantForm, *, tol: float = 1e-9) -> np.ndarray:
+def hermitian_coefficients(form: InvariantForm, *, tol: float = DEFAULT_CONFIG.tol_alg) -> np.ndarray:
     """Coefficient matrix h of a real (1,1) form a = i sum h_{jk} phi_j ^ conj(phi_k).
 
     Raises TypeError when the form has components outside bidegree

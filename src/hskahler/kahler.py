@@ -76,8 +76,9 @@ def simultaneous_diagonalize(mats, *, cfg: Config | None = None) -> tuple[np.nda
     The algorithm refines an eigenblock partition through the Hermitian
     and skew parts of every matrix; within a block all previously
     processed parts are scalar, so later rotations never break earlier
-    diagonalizations.  No randomness is involved, which makes the
-    output reproducible without any seed bookkeeping.
+    diagonalizations.  A block splits at a gap above ``tol_diag`` times
+    the spectral scale, the tolerance of the off-diagonal check.  No
+    randomness is involved: the output is reproducible without a seed.
     """
     cfg = _cfg(cfg)
     mats = [np.asarray(M, dtype=complex) for M in mats]
@@ -114,11 +115,9 @@ def simultaneous_diagonalize(mats, *, cfg: Config | None = None) -> tuple[np.nda
             sub = (sub + sub.conj().T) / 2.0
             w, v = np.linalg.eigh(sub)
             U[:, blk] = U[:, blk] @ v
-            diam = float(w[-1] - w[0])
-            thr = max(1e-6 * diam, 1e-10 * scale)
             start = 0
             for t in range(1, len(blk)):
-                if w[t] - w[t - 1] > thr:
+                if w[t] - w[t - 1] > cfg.tol_diag * scale:
                     refined.append([blk[q] for q in range(start, t)])
                     start = t
             refined.append([blk[q] for q in range(start, len(blk))])
@@ -178,17 +177,6 @@ class ClaimsRecord:
         return max(c.residual for c in checks)
 
 
-def _sigma_solve(diag: np.ndarray, b: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
-    """Row by row, apply the sigma-inverse of a diagonal matrix: entries
-    above the relative threshold of their row are inverted, the rest map
-    to zero."""
-    top = np.max(np.abs(diag), axis=-1, keepdims=True, initial=0.0)
-    keep = np.abs(diag) > rel_tol * top
-    out = np.zeros_like(b)
-    out[keep] = b[keep] / diag[keep]
-    return out
-
-
 def claims_pipeline(
     dec: AdmissibleDecomposition,
     sc: StructureConstants,
@@ -202,9 +190,9 @@ def claims_pipeline(
     and carry a closed-completion solution S.  Claims 1 and 2 are hard
     gates: a residual above tol_alg raises :class:`ClaimViolation`,
     since everything after them silently assumes the vanishings.  A
-    zero eigenvalue tuple t_i raises :class:`StructureError`.  The
-    remaining claims are measured and reported.  Block arrays follow
-    the layout of :func:`hskahler.solvable._blocks`.
+    zero eigenvalue tuple t_i (at ``tol_rank``) raises
+    :class:`StructureError`.  The remaining claims are measured and
+    reported.  Block arrays follow :func:`hskahler.solvable._blocks`.
     """
     cfg = _cfg(cfg)
     _same_n(dec, sc)
@@ -239,7 +227,7 @@ def claims_pipeline(
 
     lam = np.diagonal(Dr, axis1=1, axis2=2).copy()       # (n - r, r)
     t_norms = np.linalg.norm(lam, axis=0)
-    if r and np.any(t_norms <= 1e-12 * _max_abs(lam)):
+    if r and np.any(t_norms <= cfg.tol_rank * _max_abs(lam)):
         bad = int(np.argmin(t_norms)) + 1
         raise StructureError(
             f"eigenvalue tuple t_{bad} vanishes; the core direction e_{bad} never appears in a bracket"
@@ -251,18 +239,19 @@ def claims_pipeline(
     else:
         sv = np.linalg.svd(lam, compute_uv=False)
         t_ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    t_independent = t_ratio > 1e-8
+    t_independent = t_ratio > cfg.tol_rank
 
     # claim 3 on the rotated blocks (unitary-invariant, cheaper to read here)
     Hs = Sp.conj().T @ Sp
     DrH = np.conj(Dr.swapaxes(1, 2))
     r3 = max(_max_abs(Dr @ Hs - Hs @ Dr), _max_abs(DrH @ Hs - Hs @ DrH))
 
-    xi = _sigma_solve(lam, np.diagonal(vr).T)            # xi[x] from v(x, x)
-    # claims 4 and 5 over [x, y, i]: v(x, y) vanishes where lam[x, i] or
-    # lam[y, i] does, and equals lam[y, i] xi[x, i]
-    top = np.max(np.abs(lam), axis=1, keepdims=True, initial=0.0)
-    small = np.abs(lam) <= 1e-8 * np.maximum(top, 1e-300)
+    # lam[x, i] is zero at tol_rank of its row's largest; xi[x] is v(x, x) /
+    # lam[x] elsewhere.  Claims 4 and 5 over [x, y, i]: v(x, y) vanishes where
+    # lam[x, i] or lam[y, i] does, and equals lam[y, i] xi[x, i]
+    small = np.abs(lam) <= cfg.tol_rank * np.max(np.abs(lam), axis=1, keepdims=True, initial=0.0)
+    xi = np.zeros_like(lam)
+    xi[~small] = np.diagonal(vr).T[~small] / lam[~small]
     r4 = _max_abs(vr[small[:, None] | small[None]])
     r5 = _max_abs(vr - lam[None] * xi[:, None])
 
@@ -482,7 +471,8 @@ def generate_family(
     column permutation.
 
     Bad parameters raise :class:`ParameterError`: r outside 1..n-1,
-    shape mismatches, or a zero eigenvalue tuple t_i = lam[:, i].
+    shape mismatches, or a zero eigenvalue tuple t_i = lam[:, i], at
+    ``tol_rank`` of the largest |lam|.
     Supplied tuples may be linearly dependent, since the construction
     certifies such instances too; drawn tuples are independent, so
     drawing them needs n - r >= r.
@@ -508,7 +498,7 @@ def generate_family(
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(p))):
         raise ParameterError("family data must be finite")
     norms = np.linalg.norm(lam, axis=0)
-    if np.any(norms <= 1e-12 * _max_abs(lam)):
+    if np.any(norms <= cfg.tol_rank * _max_abs(lam)):
         bad = int(np.argmin(norms)) + 1
         raise ParameterError(f"eigenvalue tuple t_{bad} is zero")
     order = _canonical_order(lam)

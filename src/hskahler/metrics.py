@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import CheckResult, StructureConstants, _max_abs
+from .algebra import CheckResult, StructureConstants, _conditioned, _max_abs, _rank
 from .config import Config, _cfg
 from .errors import DimensionError, RankError, StructureError
 from .forms import InvariantForm, del_and_delbar
@@ -107,7 +107,7 @@ def real_metric(h, frame) -> np.ndarray:
     return M + M.T
 
 
-def chern_torsion(sc: StructureConstants, g) -> np.ndarray:
+def chern_torsion(sc: StructureConstants, g, *, cfg: Config | None = None) -> np.ndarray:
     """Torsion components T[j, i, k] = T^j_{ik} of the Chern connection:
 
     T^j_{ik} = -C^j_{ik} - sum_{a,b} D^b_{ak} g^{bar b, j} g[i, a]
@@ -115,11 +115,10 @@ def chern_torsion(sc: StructureConstants, g) -> np.ndarray:
 
     with ``g^{bar b, j}`` the (b, j) entry of the inverse metric matrix.
     Antisymmetry in (i, k) is restored exactly after the contraction.
-    A numerically singular g raises :class:`RankError`.
+    A g that fails the conditioning test raises :class:`RankError`.
     """
     g = _as_g(g)
-    sv = np.linalg.svd(g, compute_uv=False)
-    if sv.size and sv[-1] <= 1e-13 * sv[0]:
+    if not _conditioned(np.linalg.svd(g, compute_uv=False), _cfg(cfg)):
         raise RankError("metric matrix is numerically singular")
     ginv = np.linalg.inv(g)
     t2 = np.einsum("bak,bj,ia->jik", sc.D, ginv, g)
@@ -242,11 +241,11 @@ class _HSSystem(NamedTuple):
 def _hs_system(sc: StructureConstants, cfg: Config) -> _HSSystem:
     """Build and factor A; it does not depend on the metric.
 
-    The pseudo-inverse cut is floored at 1, the scale of unit-scale
-    constants, never taken relative to the matrix alone: when S drops
-    out of the equations entirely the whole matrix is roundoff noise,
-    and a relative cut would invert that noise instead of returning the
-    plain distance to b.
+    The pseudo-inverse cut is :func:`hskahler.algebra._rank`, floored at
+    1, the scale of unit-scale constants, never taken relative to the
+    matrix alone: when S drops out of the equations entirely the whole
+    matrix is roundoff noise, and a relative cut would invert that noise
+    instead of returning the plain distance to b.
     """
     n, t = sc.n, math.comb(sc.n, 3)
     iu, ju = np.triu_indices(n, 1)
@@ -255,7 +254,7 @@ def _hs_system(sc: StructureConstants, cfg: Config) -> _HSSystem:
     A[:t] *= np.sqrt(6.0)
     A[t:] *= np.sqrt(2.0)
     u, s, vh = np.linalg.svd(A, full_matrices=False)
-    keep = s > cfg.tol_rank * max(float(s[0]) if s.size else 0.0, 1.0)
+    keep = np.arange(s.size) < _rank(s, cfg)
     return _HSSystem(n, (iu, ju), A, u[t:, keep].conj().T, s[keep], vh.conj().T[:, keep])
 
 

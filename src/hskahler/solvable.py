@@ -26,10 +26,12 @@ multiplication by i, and the (1,0) vector (u - i J u)/sqrt(2) has the
 coefficients sqrt(2) z over E.  So g'_J and W are complex subspaces of
 C^n with unitary bases from a complex SVD, V is a real one, and the
 admissible frame is E K for one n x n matrix K, the only frame the
-stages carry.  :func:`build_admissible_frame` keeps E itself, K =
-Identity, when it is admissible already: hand-chosen block bases and a
-generator's eigenvector phases survive, so a certificate returns the
-generating lam and p.
+stages carry.  Its three rank cuts (the null space that gives g'_J, V,
+and the complex rank of g' + J g') are :func:`hskahler.algebra._rank`.
+:func:`build_admissible_frame` keeps E itself, K = Identity, when it is
+admissible already: hand-chosen block bases and a generator's
+eigenvector phases survive, so a certificate returns the generating lam
+and p.
 
 In an admissible frame the structure constants develop many forced
 zeros, and the surviving blocks obey closed matrix identities plus a
@@ -53,6 +55,7 @@ from .algebra import (
     StructureConstants,
     _max_abs,
     _orthonormal_span,
+    _rank,
     realify,
     solvable_profile,
 )
@@ -100,11 +103,6 @@ def _z(u: np.ndarray) -> np.ndarray:
     return (u[:n] + 1j * u[n:]) / np.sqrt(2.0)
 
 
-def _rank(sv: np.ndarray, cfg: Config) -> int:
-    """The singular values above the rank cut, for columns of unit scale."""
-    return int(np.sum(sv > cfg.tol_rank * max(sv[0], 1.0))) if sv.size else 0
-
-
 def _split(profile: SolvableProfile, cfg: Config) -> tuple[int, int, np.ndarray]:
     """r, s and K for the commutator of the realification of unitary-frame
     constants; K is exactly Identity where the unitary frame is admissible.
@@ -121,12 +119,12 @@ def _split(profile: SolvableProfile, cfg: Config) -> tuple[int, int, np.ndarray]
     Q = np.eye(2 * n) - gp @ gp.T
     _, sv, Vt = np.linalg.svd(np.vstack([Q, Q @ J]), full_matrices=False)
     null = Vt[_rank(sv, cfg):].T
-    core = _orthonormal_span(_z(null), cfg.tol_rank, 1.0)
+    core = _orthonormal_span(_z(null), cfg)
     r = core.shape[1]
     if 2 * r != null.shape[1]:
         raise StructureError(f"J-stable core of real dimension {null.shape[1]} has complex rank {r}")
     # V: the real complement of g'_J inside g'
-    V = _orthonormal_span(gp - null @ (null.T @ gp), cfg.tol_rank, 1.0)
+    V = _orthonormal_span(gp - null @ (null.T @ gp), cfg)
     s = r + V.shape[1]
     # W: the complex complement of g' + J g'
     U, sv, _ = np.linalg.svd(_z(gp))

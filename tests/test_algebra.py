@@ -20,6 +20,8 @@ from hskahler import (
     solvable_profile,
     unimodularity_check,
 )
+from hskahler.algebra import _orthonormal_span, _rank
+from hskahler.config import DEFAULT_CONFIG
 
 from conftest import aff_sc, kt_real, random_invertible, random_jacobi_sc
 
@@ -158,6 +160,31 @@ def test_change_frame_rejects_singular(rng):
     sc = aff_sc()
     with pytest.raises(RankError):
         change_frame(sc, np.zeros((2, 2)))
+
+
+def test_the_rank_rule_is_relative_above_unit_scale_and_absolute_below():
+    cfg = DEFAULT_CONFIG
+    # relative on large singular values: 1e3 survives under 1e10, 1e1 does not
+    assert _rank(np.array([1e10, 1e3, 1e1]), cfg) == 2
+    # at or below unit scale the cut is tol_rank itself
+    assert _rank(np.array([0.5, 2 * cfg.tol_rank, cfg.tol_rank]), cfg) == 2
+    assert _rank(np.array([cfg.tol_rank, 1e-12, 0.0]), cfg) == 0
+    assert _rank(np.zeros(0), cfg) == 0
+
+
+def test_orthonormal_span_cuts_at_the_rank_rule(rng):
+    cfg = DEFAULT_CONFIG
+    # two large directions and one 1e-9 of the largest: a span of 2
+    Q = np.linalg.qr(rng.standard_normal((5, 3)))[0]
+    span = _orthonormal_span(Q @ np.diag([1e6, 3e5, 1e-3]), cfg)
+    assert span.shape == (5, 2)
+    assert np.allclose(span.T @ span, np.eye(2))
+    assert np.allclose(span @ (span.T @ Q[:, :2]), Q[:, :2])
+    # every singular value below tol_rank: rank 0 and an empty span
+    span = _orthonormal_span(0.5 * cfg.tol_rank * Q, cfg)
+    assert span.shape == (5, 0)
+    # no columns at all
+    assert _orthonormal_span(np.zeros((4, 0)), cfg).shape == (4, 0)
 
 
 def test_solvable_profile_known_cases():

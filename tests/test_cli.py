@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from hskahler.cli import run_command
 from hskahler.documents import AlgebraDocument
 from hskahler.kahler import generate_family
+
+from conftest import catalog_doc
 
 
 def _run(capsys, *argv):
@@ -280,9 +283,12 @@ def test_verify_claims_needs_a_completion(capsys):
 @pytest.fixture(scope="module")
 def edge_docs(tmp_path_factory):
     """Documents at the edges of the stage chain: failed input checks,
-    two scales 1e8 apart in one algebra, and one that is not solvable."""
+    two scales 1e8 apart in one algebra, one that is not solvable, and
+    positive definite metrics of condition number 1e17, whose Cholesky
+    factor fails the conditioning test."""
     root = tmp_path_factory.mktemp("edge")
     fam = generate_family(1, 3, seed=3)
+    fam2 = generate_family(1, 2, seed=3)
     D = fam.sc.D.copy()
     D[2, 0, 1] += 0.5
     iwasawa = np.zeros((3, 3, 3), dtype=complex)  # C^3_12 = -1
@@ -294,6 +300,7 @@ def edge_docs(tmp_path_factory):
         "iwasawa_1e-5": (1e-5 * iwasawa, np.zeros_like(iwasawa), None, None),
         "iwasawa_1e-8": (1e-8 * iwasawa, np.zeros_like(iwasawa), None, None),
         "iwasawa_plus_1e-8": (_direct_sum(iwasawa, 1e-8 * iwasawa), np.zeros((6, 6, 6)), None, None),
+        "metric_1e-17": (fam2.sc.C, fam2.sc.D, np.diag([1.0, 1e-17]), None),
     }
     paths = {}
     for name, (C, D, g, S) in docs.items():
@@ -307,6 +314,9 @@ def edge_docs(tmp_path_factory):
     J[1, 0], J[0, 1], J[3, 2], J[2, 3] = 1.0, -1.0, 1.0, -1.0
     paths["u2"] = str(root / "u2.json")
     AlgebraDocument.from_real("u2", f, J, np.eye(4)).save(paths["u2"])
+    paths["real_metric_1e-17"] = str(root / "real_metric_1e-17.json")
+    AlgebraDocument.from_real("real_metric_1e-17", f, J, np.diag([1.0, 1.0, 1e-17, 1e-17])).save(
+        paths["real_metric_1e-17"])
     J[0, 1] = -2.0  # J^2 != -Identity
     paths["bad_J"] = str(root / "bad_J.json")
     AlgebraDocument.from_real("bad_J", f, J, np.eye(4)).save(paths["bad_J"])
@@ -358,6 +368,8 @@ def test_a_scaled_algebra_gets_the_verdict_of_the_unscaled_one(capsys, edge_docs
 
 @pytest.mark.parametrize("name, why", [
     ("bad_metric", "input fails consistency checks"),
+    ("metric_1e-17", "input fails consistency checks"),
+    ("real_metric_1e-17", "input fails consistency checks"),
     ("bianchi_violator", "input fails consistency checks"),
     ("bad_J", "input fails consistency checks"),
     ("u2", "not 2-step solvable"),
@@ -368,6 +380,53 @@ def test_kahlerize_and_verify_claims_name_the_same_reason(capsys, edge_docs, nam
         assert code == 1
         gate = _record(rep, cid)
         assert gate["status"] == "fail" and gate["details"] == why, command
+
+
+NEAR_SINGULAR = ["metric_1e-17", "real_metric_1e-17"]
+
+
+@pytest.mark.parametrize("name", NEAR_SINGULAR)
+def test_a_numerically_singular_metric_fails_its_record_in_every_command(capsys, edge_docs, name):
+    """Positive definite, but its Cholesky factor fails the conditioning
+    test: every command reports one failing consistency record, with no
+    later stage, instead of aborting on the change of frame."""
+    for argv in (["analyze"], ["hs"], ["hs", "--search"], ["kahlerize"], ["verify-claims"]):
+        code, rep = _run_json(capsys, argv[0], edge_docs[name], *argv[1:])
+        assert code == 1, argv
+        assert _failed_consistency(rep) == ["metric_positive"], argv
+        assert "numerically singular" in _record(rep, "metric_positive")["details"], argv
+        assert rep["verdict"] == "input is not a consistent Hermitian instance", argv
+        assert not rep["classes"] and not rep["hs"], argv
+
+
+@pytest.mark.parametrize("name", NEAR_SINGULAR)
+def test_batch_keeps_its_report_beside_a_numerically_singular_metric(capsys, tmp_path, edge_docs, name):
+    _copy_catalog(tmp_path, ["torus"])
+    (tmp_path / f"{name}.json").write_bytes(Path(edge_docs[name]).read_bytes())
+    code, rep = _run_json(capsys, "batch", str(tmp_path))
+    assert code == 1
+    assert {row["name"]: row["status"] for row in rep["summary"]} == {name: "FAIL", "torus": "ok"}
+    assert [r["name"] for r in rep["reports"]] == [name, "torus"]
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-7])
+def test_the_canonical_frame_passes_over_a_nearly_dependent_candidate(capsys, tmp_path, eps):
+    """Kodaira-Thurston in a basis of condition number below 10 whose
+    second vector is J of the first plus eps: the frame skips that
+    candidate instead of carrying a condition number of about 1/eps
+    into every record, and the verdict is the document's own."""
+    doc = catalog_doc("kodaira_thurston")
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal(4), rng.standard_normal(4)
+    P = np.column_stack([x, doc.J @ x + eps * y, *rng.standard_normal((2, 4))])
+    Pinv = np.linalg.inv(P)
+    f = np.einsum("cz,zxy,xa,yb->cab", Pinv, doc.f, P, P)
+    path = tmp_path / "kt.json"
+    AlgebraDocument.from_real("kt", f, Pinv @ doc.J @ P, P.T @ doc.G @ P).save(path)
+    want = _run_json(capsys, "analyze", "kodaira_thurston")
+    code, rep = _run_json(capsys, "analyze", str(path))
+    assert (code, rep["verdict"], rep["classes"]) == (want[0], want[1]["verdict"], want[1]["classes"])
+    assert rep["profile"]["derived_dims"] == want[1]["profile"]["derived_dims"]
 
 
 def test_a_J_that_does_not_square_to_minus_one_fails_the_input_checks(capsys, edge_docs):
